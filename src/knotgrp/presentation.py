@@ -18,11 +18,11 @@ output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
-from .words import Alphabet, Word, cyclically_reduce, format_word, parse_word
+from .torus import AB, TorusParams
+from .words import Alphabet, Word, cyclically_reduce, format_word, parse_word, rotation_conjugator
 
 
 class Presentation:
@@ -65,23 +65,15 @@ def torus_presentation(m: int, n: int) -> Presentation:
     Requires m, n >= 1 and gcd(m, n) = 1; otherwise the parameters do
     not describe a knot.
     """
-    if m < 1 or n < 1:
-        raise InputError(f"torus parameters must be positive, got ({m}, {n})")
-    if gcd(m, n) != 1:
-        raise InputError(
-            f"invalid torus parameters ({m}, {n}): gcd is {gcd(m, n)}, "
-            "but the curve embeds as a knot only when gcd(m, n) = 1"
-        )
-    ab = Alphabet(["a", "b"])
-    return Presentation(ab, [Word([(0, m), (1, -n)])])
+    TorusParams(m, n)
+    return Presentation(AB, [Word([(0, m), (1, -n)])])
 
 
 def free_product_presentation(m: int, n: int) -> Presentation:
     """⟨a,b | a^m, b^n⟩, presenting Z_m * Z_n."""
     if m < 1 or n < 1:
         raise InputError(f"free-product parameters must be positive, got ({m}, {n})")
-    ab = Alphabet(["a", "b"])
-    return Presentation(ab, [Word([(0, m)]), Word([(1, n)])])
+    return Presentation(AB, [Word([(0, m)]), Word([(1, n)])])
 
 
 # --- Tietze moves -----------------------------------------------------------
@@ -135,9 +127,8 @@ def _derived_word(relators: Sequence[Word], derivation: Sequence[DerivationStep]
 def _defining_solution(relator: Word, gid: int) -> Word:
     """Solve a relator for a generator that occurs in it exactly once.
 
-    The relator, rotated so the single g^±1 syllable leads, reads
-    g * w^-1 (or g^-1 * w), hence g = w. Raises if the relator is not of
-    this shape.
+    The relator reads A·g^±1·B, hence g^±1 = (B·A)^-1. Raises if the
+    relator is not of this shape.
     """
     positions = [k for k, (g, _) in enumerate(relator.syllables) if g == gid]
     if len(positions) != 1 or abs(relator.syllables[positions[0]][1]) != 1:
@@ -146,11 +137,8 @@ def _defining_solution(relator: Word, gid: int) -> Word:
         )
     k = positions[0]
     syl = relator.syllables
-    rotated = Word(syl[k:] + syl[:k])
-    lead_gid, lead_exp = rotated.syllables[0]
-    assert lead_gid == gid
-    rest = Word(rotated.syllables[1:])
-    return rest.inverse() if lead_exp == 1 else rest
+    rest = Word(syl[k + 1 :] + syl[:k])
+    return rest.inverse() if syl[k][1] == 1 else rest
 
 
 def substitute(w: Word, gid: int, replacement: Word) -> Word:
@@ -227,15 +215,6 @@ def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
 # --- auto_simplify ----------------------------------------------------------
 
 
-def _rotation_conjugator(base: Word, target: Word) -> Word | None:
-    """If target is a cyclic rotation of base, return y with y·base·y⁻¹ = target."""
-    syl = base.syllables
-    for k in range(max(len(syl), 1)):
-        if Word(syl[k:] + syl[:k]) == target:
-            return Word(syl[:k]).inverse()
-    return None
-
-
 def _cyclic_reduction_step(p: Presentation) -> tuple[Presentation, list[TietzeMove]] | None:
     for i, r in enumerate(p.relators):
         core, conj = cyclically_reduce(r)
@@ -255,11 +234,9 @@ def _duplicate_removal_step(p: Presentation) -> tuple[Presentation, list[TietzeM
     for j in range(1, len(p.relators)):
         for i in range(j):
             base, target = p.relators[i], p.relators[j]
-            conj = _rotation_conjugator(base, target)
-            sign = 1
+            conj, sign = rotation_conjugator(base, target), 1
             if conj is None:
-                conj = _rotation_conjugator(base.inverse(), target)
-                sign = -1
+                conj, sign = rotation_conjugator(base.inverse(), target), -1
             if conj is None:
                 continue
             # After removing index j, relator i keeps its index (i < j).

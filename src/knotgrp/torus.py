@@ -40,7 +40,8 @@ class TorusParams:
             raise InputError(f"torus parameters must be positive, got ({self.m}, {self.n})")
         if gcd(self.m, self.n) != 1:
             raise InputError(
-                f"invalid torus parameters ({self.m}, {self.n}): gcd must be 1"
+                f"invalid torus parameters ({self.m}, {self.n}): gcd is {gcd(self.m, self.n)}, "
+                "but the curve embeds as a knot only when gcd(m, n) = 1"
             )
 
 

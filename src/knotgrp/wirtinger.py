@@ -26,7 +26,7 @@ from typing import Tuple
 
 from .errors import InputError
 from .presentation import Presentation
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _parse_int
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,14 @@ def parse_diagram(text: str) -> KnotDiagram:
             m = re.fullmatch(r"arcs\s+(\d+)", line)
             if m is None:
                 raise InputError(f"line {lineno}: expected 'arcs <n>'")
-            arc_count = int(m.group(1))
+            arc_count = _parse_int(m.group(1), f"line {lineno}")
             continue
         m = _CROSSING_RE.match(line)
         if m is None:
             raise InputError(
                 f"line {lineno}: expected 'crossing over=<i> in=<j> out=<k> sign=<+|->'"
             )
-        over, under_in, under_out = (int(m.group(k)) for k in (1, 2, 3))
+        over, under_in, under_out = (_parse_int(m.group(k), f"line {lineno}") for k in (1, 2, 3))
         sign = 1 if m.group(4) == "+" else -1
         crossings.append(Crossing(over, under_in, under_out, sign))
     if arc_count is None:

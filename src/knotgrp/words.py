@@ -176,12 +176,6 @@ class Word:
         """Total letter length, i.e. the sum of |exponent| over syllables."""
         return sum(abs(e) for _, e in self.syllables)
 
-    def generator_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted({g for g, _ in self.syllables}))
-
-    def exponent_sum(self, gid: int) -> int:
-        return sum(e for g, e in self.syllables if g == gid)
-
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
@@ -191,13 +185,18 @@ class Word:
         return Word._from_reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
+        """self^n = y·c^n·y⁻¹ for self = y·c·y⁻¹ with c cyclically reduced,
+        in O(|self| + |self^n|): copies of c merge only at their joins."""
         if n == 0:
             return _IDENTITY
-        base = self if n > 0 else self.inverse()
-        acc = base
-        for _ in range(abs(n) - 1):
-            acc = acc * base
-        return acc
+        if n == 1:
+            return self
+        if n == -1:
+            return self.inverse()
+        core, y = cyclically_reduce(self if n > 0 else self.inverse())
+        c, n = core.syllables, abs(n)
+        power = ((c[0][0], c[0][1] * n),) if len(c) == 1 else c * n
+        return Word(y.syllables + power + y.inverse().syllables)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""
@@ -248,36 +247,52 @@ def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
     >>> core.syllables, conj.syllables
     (((1, 2),), ((0, 1),))
     """
-    syl = list(w.syllables)
-    conj: list[Syllable] = []
-    while len(syl) >= 2:
-        g1, e1 = syl[0]
-        g2, e2 = syl[-1]
-        if g1 != g2 or (e1 > 0) == (e2 > 0):
-            break
-        step = min(abs(e1), abs(e2))
-        sign = 1 if e1 > 0 else -1
-        conj.append((g1, sign * step))
-        e1 -= sign * step
-        e2 += sign * step
-        middle = syl[1:-1]
-        syl = ([(g1, e1)] if e1 else []) + middle + ([(g2, e2)] if e2 else [])
-        syl = list(_reduce(syl))
-    return Word._from_reduced(tuple(syl)), Word(conj)
-
-
-def _cyclic_rotations(w: Word) -> Iterator[Word]:
     syl = w.syllables
-    for i in range(max(len(syl), 1)):
-        yield Word(syl[i:] + syl[:i])
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0] and syl[i][1] == -syl[j][1]:
+        i, j = i + 1, j - 1
+    core, conj = syl[i : j + 1], syl[:i]
+    if i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
+        # One partial peel: the shorter end vanishes, and the syllable
+        # inside it carries another generator, so the peeling stops.
+        (g, e1), (_, e2) = syl[i], syl[j]
+        step = e1 if abs(e1) < abs(e2) else -e2
+        conj += ((g, step),)
+        core = _reduce(((g, e1 - step),) + syl[i + 1 : j] + ((g, e2 + step),))
+    return Word._from_reduced(core), Word._from_reduced(conj)
+
+
+def rotation_conjugator(base: Word, target: Word) -> Word | None:
+    """If target is a cyclic rotation of base, return y with y·base·y⁻¹ = target.
+
+    Rotations go by whole syllables, smallest first, and the ends merge
+    when they carry the same generator, so a b a rotates to b a^2:
+
+    >>> aba, ba2 = Word([(0, 1), (1, 1), (0, 1)]), Word([(1, 1), (0, 2)])
+    >>> rotation_conjugator(aba, ba2).syllables
+    ((0, -1),)
+    >>> rotation_conjugator(Word([(0, 1), (1, 1)]), Word([(0, 1), (1, -1)])) is None
+    True
+    """
+    syl, want = base.syllables, target.syllables
+    for k in range(max(len(syl), 1)):
+        if _reduce(syl[k:] + syl[:k]) == want:
+            return Word._from_reduced(syl[:k]).inverse()
+    return None
 
 
 def cyclically_equal(u: Word, v: Word, up_to_inversion: bool = False) -> bool:
     """True if u is a cyclic rotation of v (optionally also of v^-1)."""
-    targets = {v.syllables}
-    if up_to_inversion:
-        targets.add(v.inverse().syllables)
-    return any(r.syllables in targets for r in _cyclic_rotations(u))
+    if rotation_conjugator(u, v) is not None:
+        return True
+    return up_to_inversion and rotation_conjugator(u.inverse(), v) is not None
+
+
+def _parse_int(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int-from-string digit limit
+        raise InputError(f"{what}: number has too many digits") from None
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -298,7 +313,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             raise InputError(f"malformed word token {token!r}")
         name, exp_text = m.group(1), m.group(2)
         gid = alphabet.id_of(name)
-        exp = int(exp_text) if exp_text is not None else 1
+        exp = _parse_int(exp_text, "exponent") if exp_text is not None else 1
         raw.append((gid, exp))
     return Word(raw)
 

@@ -55,6 +55,14 @@ class TestWirtinger:
         assert code_file == 0
         assert out_file == out_builtin
 
+    def test_oversized_numbers(self, capsys, tmp_path):
+        digits = "7" * 5000
+        for text in (f"arcs {digits}\n", TREFOIL_DIAGRAM.replace("over=1", f"over={digits}")):
+            path = tmp_path / "big.knot"
+            path.write_text(text)
+            code, out, err = invoke(capsys, "wirtinger", str(path))
+            assert code == 1 and out == "" and err.startswith("knotgrp: error:")
+
     def test_missing_file(self, capsys):
         code, out, err = invoke(capsys, "wirtinger", "/nonexistent/thing.knot")
         assert code == 1 and out == "" and "cannot read" in err
@@ -169,6 +177,10 @@ class TestWordCommands:
     def test_foreign_generator(self, capsys):
         code, out, err = invoke(capsys, "nf", "2", "3", "a x")
         assert code == 1 and out == "" and "unknown generator" in err
+
+    def test_oversized_exponent(self, capsys):
+        code, out, err = invoke(capsys, "nf", "2", "3", "a^" + "7" * 5000)
+        assert code == 1 and out == "" and err.startswith("knotgrp: error:")
 
 
 class TestRetraction:

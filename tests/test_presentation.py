@@ -262,6 +262,13 @@ class TestAutoSimplify:
         assert len(q.relators) == 1
         assert apply_tietze(p, script) == q
 
+    def test_huge_relator_power(self):
+        p = parse_presentation("gens: c a b\nrel: c^-1 a b a^-1\nrel: c^1000000000")
+        q, script = auto_simplify(p)
+        assert format_presentation(q) == "gens: a b\nrel: b^1000000000"
+        assert len(script) == 3
+        assert apply_tietze(p, script) == q
+
     def test_preserves_invariants(self):
         for name in ("trefoil", "paper-5crossing"):
             p = wirtinger_presentation(builtin_diagram(name))

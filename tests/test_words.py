@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from knotgrp.errors import InputError
 from knotgrp.words import (
@@ -12,6 +12,7 @@ from knotgrp.words import (
     multiply,
     parse_word,
     reduce_word,
+    rotation_conjugator,
 )
 
 AB = Alphabet(["a", "b"])
@@ -113,6 +114,15 @@ class TestMultiplyInvert:
         assert w**-2 == invert(w * w)
         assert (w**0).is_identity()
 
+    @given(words, st.integers(min_value=-6, max_value=6))
+    def test_power_is_repeated_product(self, w, n):
+        factor = w if n > 0 else invert(w)
+        assert w**n == reduce_word(factor.syllables * abs(n))
+
+    def test_huge_power_of_conjugate(self):
+        w = parse_word("a b a^-1", AB)
+        assert w ** 10**9 == parse_word(f"a b^{10**9} a^-1", AB)
+
 
 class TestCyclicReduce:
     def test_direct_conjugate(self):
@@ -157,9 +167,23 @@ class TestCyclicEquality:
         assert not cyclically_equal(u, u.inverse())
         assert cyclically_equal(u, u.inverse(), up_to_inversion=True)
 
+    @given(words)
+    def test_rotation_conjugator_conjugates_onto_each_rotation(self, w):
+        syl = w.syllables
+        for k in range(max(len(syl), 1)):
+            t = Word(syl[k:] + syl[:k])
+            y = rotation_conjugator(w, t)
+            assert y is not None and y * w * y.inverse() == t
+
+    def test_rotation_conjugator_rejects_non_rotation(self):
+        u = Word([(0, 1), (1, 1), (0, -1), (1, -1)])
+        assert rotation_conjugator(u, Word([(0, 1), (1, -1), (0, -1), (1, 1)])) is None
+        assert rotation_conjugator(u, Word.identity()) is None
+
 
 class TestParserRobustness:
     @given(st.text(max_size=40))
+    @example("a^" + "7" * 5000)
     def test_parse_word_never_crashes(self, text):
         try:
             parse_word(text, AB)
