@@ -6,8 +6,10 @@ Two invariant families are implemented, both exact:
   relator exponent-sum matrix (arbitrary-precision integers, so entry
   growth during elimination is harmless);
 * homomorphism counts into small finite groups given by multiplication
-  tables, by brute-force enumeration of generator assignments under an
-  explicit evaluation budget.
+  tables, by an exact search that binds one generator at a time, solves
+  a generator outright when a relator pins it, checks each relator as
+  soon as its generators are bound and fixes the first enumerated image
+  up to conjugacy; the evaluation budget is still the full |T|^|X|.
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -22,10 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-import numpy as np
-
 from .errors import BudgetError, InputError
-from .presentation import Presentation
+from .presentation import Presentation, _table_power
 
 DEFAULT_MAX_EVALS = 10**8
 
@@ -357,11 +357,21 @@ def _dihedral4_table() -> FiniteGroupTable:
     return _table_from_elements("D4", elements)
 
 
+_TABLES: dict = {}  # name -> FiniteGroupTable; tables are immutable
+
+
 def builtin_table(name: str) -> FiniteGroupTable:
-    """Multiplication table of a named small group.
+    """Multiplication table of a named small group, built once per process.
 
     Known names: Z2..Z12, S3, S4, S5, A4, A5, D4.
     """
+    table = _TABLES.get(name)
+    if table is None:
+        table = _TABLES[name] = _build_table(name)
+    return table
+
+
+def _build_table(name: str) -> FiniteGroupTable:
     m = re.fullmatch(r"Z(\d+)", name)
     if m:
         k = int(m.group(1))
@@ -378,28 +388,156 @@ def builtin_table(name: str) -> FiniteGroupTable:
 
 # --- homomorphism counting --------------------------------------------------
 
+_Program = Tuple[Tuple[int, int], ...]  # (generator position, exponent) syllables
 
-def _vector_power(mul_flat: np.ndarray, inv: np.ndarray, order: int, x: np.ndarray, e: int, identity: int) -> np.ndarray:
-    if e < 0:
-        x = inv[x]
-        e = -e
-    result = np.full(x.shape, identity, dtype=np.int64)
-    base = x
-    while e:
-        if e & 1:
-            result = mul_flat[result * order + base]
-        e >>= 1
-        if e:
-            base = mul_flat[base * order + base]
-    return result
+
+@dataclass(frozen=True)
+class _Step:
+    """Bind the generator at `position`: to every element when `solve` is
+    None, else to the value of `solve` (inverted when `invert`); then
+    check that each relator in `checks` evaluates to the identity."""
+
+    position: int
+    solve: _Program | None
+    invert: bool
+    checks: Tuple[_Program, ...]
+
+
+def _plan(relators: Sequence[_Program]) -> list[_Step]:
+    """A binding order for the generators that occur in `relators`.
+
+    A relator A·g^s·B whose only unbound generator g occurs once, with
+    s = ±1, solves it without branching: g^s = (B·A)^-1. Otherwise the
+    step enumerates the unbound generator that occurs in the most
+    relators, lowest position on ties. Every relator is checked at the
+    step that binds its last generator, except the one a step solves.
+    """
+    gens_of = [{pos for pos, _ in rel} for rel in relators]
+    rels_of: dict[int, list[int]] = {}
+    for r, gens in enumerate(gens_of):
+        for pos in gens:
+            rels_of.setdefault(pos, []).append(r)
+    # every relator holding an unbound generator is unfinished, so the
+    # count of unfinished relators per unbound generator never changes
+    by_priority = iter(sorted(rels_of, key=lambda pos: (-len(rels_of[pos]), pos)))
+    unbound = [len(gens) for gens in gens_of]
+    bound: set[int] = set()
+    solvable: set[int] = set()
+    steps = []
+    while len(bound) < len(rels_of):
+        solved, solve, invert = None, None, False
+        if solvable:
+            solved = min(solvable)
+            rel = relators[solved]
+            j = next(j for j, (pos, _) in enumerate(rel) if pos not in bound)
+            position, s = rel[j]
+            solve, invert = rel[j + 1 :] + rel[:j], s == 1
+        else:
+            position = next(pos for pos in by_priority if pos not in bound)
+        bound.add(position)
+        checks = []
+        for r in rels_of[position]:
+            unbound[r] -= 1
+            if unbound[r] == 0:
+                solvable.discard(r)
+                if r != solved:
+                    checks.append(relators[r])
+            elif unbound[r] == 1:
+                (last,) = gens_of[r] - bound
+                exps = [e for pos, e in relators[r] if pos == last]
+                if exps in ([1], [-1]):
+                    solvable.add(r)
+        steps.append(_Step(position, solve, invert, tuple(checks)))
+    return steps
+
+
+def _conjugacy_classes(table: FiniteGroupTable) -> dict[int, int]:
+    """Class size keyed by the smallest element of each conjugacy class."""
+    mul, inv = table.mul, table.inv
+    seen = [False] * table.order
+    sizes = {}
+    for x in range(table.order):
+        if not seen[x]:
+            orbit = {mul[mul[h][x]][inv[h]] for h in range(table.order)}
+            for y in orbit:
+                seen[y] = True
+            sizes[x] = len(orbit)
+    return sizes
+
+
+def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
+    """Assignments of the planned generators that pass every check.
+
+    Depth-first over the plan with an explicit stack of iterators. The
+    first enumerated generator runs over one element per conjugacy class,
+    weighted by the class size: conjugating a homomorphism by a fixed
+    element gives another, so each element of a class extends in equally
+    many ways.
+    """
+    if not steps:
+        return 1
+    mul, inv, identity = table.mul, table.inv, table.identity
+    powers = {
+        e: tuple(_table_power(table, x, e) for x in range(table.order))
+        for step in steps
+        for prog in (step.solve or (),) + step.checks
+        for _, e in prog
+    }
+
+    def compiled(prog: _Program):
+        return tuple((pos, powers[e]) for pos, e in prog)
+
+    positions = [step.position for step in steps]
+    solves = [None if step.solve is None else compiled(step.solve) for step in steps]
+    checks = [tuple(map(compiled, step.checks)) for step in steps]
+    first = next((i for i, prog in enumerate(solves) if prog is None), -1)
+    class_size = _conjugacy_classes(table)
+    everything = range(table.order)
+    value = [identity] * k
+
+    def options(level: int):
+        prog = solves[level]
+        if prog is None:
+            return iter(class_size if level == first else everything)
+        acc = identity
+        for pos, pw in prog:
+            acc = mul[acc][pw[value[pos]]]
+        return iter((inv[acc] if steps[level].invert else acc,))
+
+    last = len(steps) - 1
+    count, weight = 0, 1
+    stack = [options(0)]
+    while stack:
+        level = len(stack) - 1
+        x = next(stack[level], None)
+        if x is None:
+            stack.pop()
+            continue
+        value[positions[level]] = x
+        if level == first:
+            weight = class_size[x]
+        for prog in checks[level]:
+            acc = identity
+            for pos, pw in prog:
+                acc = mul[acc][pw[value[pos]]]
+            if acc != identity:
+                break
+        else:
+            if level == last:
+                count += weight
+            else:
+                stack.append(options(level + 1))
+    return count
 
 
 def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT_MAX_EVALS) -> int:
     """Number of homomorphisms ⟨X|R⟩ → table group (trivial one included).
 
-    Enumerates all |T|^|X| generator assignments and keeps those sending
-    every relator to the identity. Raises BudgetError before starting if
-    the assignment count exceeds max_evals.
+    By von Dyck's theorem these are the assignments of X that send every
+    relator to the identity. An exact search binds the generators that
+    occur in relators one at a time (see _plan and _search); each
+    generator in no relator contributes a factor |T|. Raises BudgetError
+    before starting if the |T|^|X| assignments exceed max_evals.
     """
     k = len(p.alphabet)
     order = table.order
@@ -409,27 +547,10 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
             f"hom_count would evaluate {total} assignments "
             f"({table.name}^{k}), exceeding the budget of {max_evals}"
         )
-    mul_flat = np.asarray(table.mul, dtype=np.int64).reshape(-1)
-    inv = np.asarray(table.inv, dtype=np.int64)
     positions = {gen.id: i for i, gen in enumerate(p.alphabet)}
-    programs = [[(positions[g], e) for g, e in r.syllables] for r in p.relators]
-
-    count = 0
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        assigns = [(idx // order ** (k - 1 - i)) % order for i in range(k)]
-        ok = np.ones(idx.shape, dtype=bool)
-        for prog in programs:
-            acc = np.full(idx.shape, table.identity, dtype=np.int64)
-            for pos, e in prog:
-                val = _vector_power(mul_flat, inv, order, assigns[pos], e, table.identity)
-                acc = mul_flat[acc * order + val]
-            ok &= acc == table.identity
-            if not ok.any():
-                break
-        count += int(ok.sum())
-    return count
+    relators = [tuple((positions[g], e) for g, e in r.syllables) for r in p.relators]
+    steps = _plan(relators)
+    return _search(steps, table, k) * order ** (k - len(steps))
 
 
 # --- profiles ---------------------------------------------------------------

@@ -15,9 +15,12 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 _NAME_RE = re.compile(r"[A-Za-z][0-9]*")
+
+#: Most syllables a power c^n may repeat out of a cyclic core c of two or more.
+MAX_POWER_SYLLABLES = 10**7
 
 Syllable = Tuple[int, int]  # (generator id, nonzero exponent)
 
@@ -186,7 +189,10 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         """self^n = y·c^n·y⁻¹ for self = y·c·y⁻¹ with c cyclically reduced,
-        in O(|self| + |self^n|): copies of c merge only at their joins."""
+        in O(|self| + |self^n|): copies of c merge only at their joins.
+
+        Raises BudgetError, before allocating, when c has two or more
+        syllables and |c|·|n| exceeds MAX_POWER_SYLLABLES."""
         if n == 0:
             return _IDENTITY
         if n == 1:
@@ -195,6 +201,11 @@ class Word:
             return self.inverse()
         core, y = cyclically_reduce(self if n > 0 else self.inverse())
         c, n = core.syllables, abs(n)
+        if len(c) > 1 and len(c) * n > MAX_POWER_SYLLABLES:
+            raise BudgetError(
+                f"word power would repeat {len(c)} syllables {n} times, "
+                f"exceeding the budget of {MAX_POWER_SYLLABLES} syllables"
+            )
         power = ((c[0][0], c[0][1] * n),) if len(c) == 1 else c * n
         return Word(y.syllables + power + y.inverse().syllables)
 

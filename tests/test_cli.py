@@ -135,6 +135,14 @@ class TestInvariantCommands:
             "hom Z2\t2\n"
         )
 
+    def test_huge_relator_power_is_a_budget_error(self, capsys, tmp_path):
+        for exponent in (10**30, 10**12):
+            path = self.write(tmp_path, f"gens: c a b\nrel: c^-1 a b\nrel: c^{exponent}\n")
+            code, out, err = invoke(capsys, "simplify", path)
+            assert code == 2 and out == "" and err.startswith("knotgrp: error:")
+        code, out, _ = invoke(capsys, "homcount", path, "--target", "S3")
+        assert code == 0 and out == "hom S3: 24\n"
+
     def test_bad_target(self, capsys, tmp_path):
         path = self.write(tmp_path, "gens: a\n")
         code, out, err = invoke(capsys, "homcount", path, "--target", "Q8")
@@ -235,3 +243,12 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "gens: a b\nrel: a^2 b^-3\n"
+
+    def test_import_loads_no_numpy(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, knotgrp; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout == "False\n"

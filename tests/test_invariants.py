@@ -1,8 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgrp.errors import BudgetError, InputError
 from knotgrp.invariants import (
@@ -20,13 +21,14 @@ from knotgrp.invariants import (
 )
 from knotgrp.presentation import (
     Presentation,
+    auto_simplify,
     evaluate_word_in_quotient,
     free_product_presentation,
     parse_presentation,
     torus_presentation,
 )
 from knotgrp.wirtinger import builtin_diagram, wirtinger_presentation
-from knotgrp.words import Alphabet
+from knotgrp.words import Alphabet, Word
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
     lambda r: st.integers(min_value=0 if r else 1, max_value=4).flatmap(
@@ -176,6 +178,9 @@ class TestBuiltinTables:
             assert table.order == order
             assert table.identity == 0
 
+    def test_tables_are_built_once(self):
+        assert builtin_table("A5") is builtin_table("A5")
+
     def test_unknown_name(self):
         for bad in ("Z1", "Z13", "S6", "Q8", "foo"):
             with pytest.raises(InputError):
@@ -223,20 +228,61 @@ class TestHomCount:
         with pytest.raises(BudgetError, match="budget"):
             hom_count(p, builtin_table("S3"), max_evals=100)
 
-    def test_agrees_with_scalar_enumeration(self):
-        # independent oracle: scalar evaluation over explicit assignments
-        table = builtin_table("S3")
-        for p in (torus_presentation(2, 3), wirtinger_presentation(builtin_diagram("trefoil"))):
-            gids = [g.id for g in p.alphabet]
-            brute = 0
-            for images in itertools.product(range(table.order), repeat=len(gids)):
-                assignment = dict(zip(gids, images))
-                if all(
-                    evaluate_word_in_quotient(p, r, assignment, table) == table.identity
-                    for r in p.relators
-                ):
-                    brute += 1
-            assert hom_count(p, table) == brute
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "D4", "S3", "A4"]),
+        st.integers(min_value=0, max_value=3).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.lists(
+                        st.tuples(
+                            st.integers(min_value=0, max_value=max(k - 1, 0)),
+                            st.sampled_from([1, -1, 2, -2, 10**9 + 7, -(10**9 + 7)]),
+                        ),
+                        max_size=5 if k else 0,
+                    ),
+                    max_size=4,
+                ),
+            )
+        ),
+    )
+    @example("S3", (2, [[(0, 2), (1, -3)]]))  # torus_presentation(2, 3)
+    @example(  # the trefoil's Wirtinger presentation
+        "S3",
+        (3, [[(0, 1), (1, 1), (0, -1), (2, -1)], [(1, 1), (2, 1), (1, -1), (0, -1)],
+             [(2, 1), (0, 1), (2, -1), (1, -1)]]),
+    )
+    def test_agrees_with_scalar_enumeration(self, target, shape):
+        # independent oracle: scalar evaluation over every explicit assignment
+        k, relators = shape
+        p = Presentation(Alphabet([f"g{i}" for i in range(k)]), [Word(r) for r in relators])
+        table = builtin_table(target)
+        brute = 0
+        for images in itertools.product(range(table.order), repeat=k):
+            assignment = dict(enumerate(images))
+            if all(
+                evaluate_word_in_quotient(p, r, assignment, table) == table.identity
+                for r in p.relators
+            ):
+                brute += 1
+        assert hom_count(p, table) == brute
+
+    def test_wirtinger_into_a5_matches_simplified(self):
+        # 60^5 assignments: reachable only because the search prunes
+        p = wirtinger_presentation(builtin_diagram("paper-5crossing"))
+        table = builtin_table("A5")
+        simplified, _ = auto_simplify(p)
+        assert hom_count(p, table, max_evals=10**11) == 180
+        assert hom_count(simplified, table) == 180
+
+    def test_many_generators_into_trivial_group(self):
+        table = FiniteGroupTable.from_mul("Z1", [[0]])
+        names = " ".join(f"g{i}" for i in range(3000))
+        p = parse_presentation(f"gens: {names}\nrel: g0 g1 g2^5")
+        start = time.perf_counter()
+        assert hom_count(p, table) == 1
+        assert time.perf_counter() - start < 0.5
 
     def test_invariant_under_relabeling_and_reordering(self):
         p = wirtinger_presentation(builtin_diagram("trefoil"))
