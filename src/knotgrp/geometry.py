@@ -28,13 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 _VALIDATION_TOL = 1e-12
 _AXIS_TOL = 1e-12
 _CHECK_TOL = 1e-9
 _PUNCTURE_RADIUS = 1e-6
 _CONTINUITY_FACTOR = 50.0
+
+#: Most grid×grid samples verify_retraction may check.
+MAX_GRID_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,13 @@ def retract(params: RetractionParams, point: Tuple[float, float]) -> Tuple[float
     """Image of a region point on OP ∪ OQ under the retraction."""
     x0, y0 = point
     validate_region_point(params, x0, y0)
+    return _closed_form(math.tan(params.half_angle), x0, y0)
+
+
+def _closed_form(t: float, x0: float, y0: float) -> Tuple[float, float]:
+    """r(x0, y0) for t = tan λ, by the closed form above; no validation."""
     if abs(x0) < _AXIS_TOL:
         return (0.0, 0.0)
-    t = math.tan(params.half_angle)
     s = (
         x0**4
         + y0**4
@@ -137,11 +144,17 @@ def verify_retraction(params: RetractionParams, grid: int) -> RetractionReport:
     Checks (failures are reported, not raised): images lie on OP ∪ OQ;
     the fixed points are exactly the segment points; idempotence; and a
     continuity proxy bounding the image displacement of adjacent samples
-    on the same side of the y-axis by 50× their spacing.
+    on the same side of the y-axis by 50× their spacing. Idempotence
+    applies the closed form to each image as it is: rounding can leave an
+    image just outside the disk, where retract would reject it as input.
+    Raises BudgetError, before sampling, when grid² exceeds MAX_GRID_SAMPLES.
     """
     if grid < 2:
         raise InputError("grid must be at least 2")
+    if grid * grid > MAX_GRID_SAMPLES:
+        raise BudgetError(f"grid {grid} needs grid² samples, past the budget of {MAX_GRID_SAMPLES}")
     lam = params.half_angle
+    t = math.tan(lam)
     points: dict[tuple[int, int], tuple[float, float]] = {}
     for i in range(grid):
         theta = lam + i * (math.pi - 2.0 * lam) / (grid - 1)
@@ -167,7 +180,7 @@ def verify_retraction(params: RetractionParams, grid: int) -> RetractionReport:
             max_fixed_deviation = max(max_fixed_deviation, moved)
         elif moved <= _CHECK_TOL and distance_to_target(params, p) > _PUNCTURE_RADIUS:
             false_fixed += 1
-        twice = retract(params, image)
+        twice = _closed_form(t, *image)
         max_idempotence = max(
             max_idempotence, math.hypot(twice[0] - image[0], twice[1] - image[1])
         )

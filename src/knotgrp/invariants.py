@@ -2,9 +2,11 @@
 
 Two invariant families are implemented, both exact:
 
-* the abelianization, read off from the Smith normal form of the
-  relator exponent-sum matrix (arbitrary-precision integers, so entry
-  growth during elimination is harmless);
+* the abelianization, read off the Smith diagonal of the relator
+  exponent-sum matrix (arbitrary-precision integers, so entry growth
+  during elimination is harmless). One elimination kernel does all
+  Smith forms; transforms exist only when `smith_normal_form` borders
+  the matrix with identities for the kernel to carry along;
 * homomorphism counts into small finite groups given by multiplication
   tables, by an exact search that binds one generator at a time, solves
   a generator outright when a relator pins it, checks each relator as
@@ -118,102 +120,74 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _find_pivot(m: list[list[int]], start: int) -> tuple[int, int] | None:
+def _find_pivot(m: list[list[int]], start: int, rows: int, cols: int) -> tuple[int, int] | None:
     """Deterministic pivot: minimal |value| nonzero, ties row-major."""
     best = None
-    for i in range(start, len(m)):
-        for j in range(start, len(m[0]) if m else 0):
+    for i in range(start, rows):
+        for j in range(start, cols):
             v = m[i][j]
             if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
                 best = (i, j)
     return best
 
 
+def _diagonalize(m: list[list[int]], rows: int, cols: int) -> None:
+    """Bring the leading rows×cols block of m to Smith form, in place.
+
+    Every row operation acts on the whole row and every column operation
+    on the whole column, so whatever borders the block (rows below it,
+    columns to its right) undergoes the same operations. Pivoting is
+    deterministic: smallest |value|, ties by row-major position.
+    """
+    n, t = min(rows, cols), 0
+    while True:
+        while t < n and (pivot := _find_pivot(m, t, rows, cols)) is not None:
+            i, j = pivot
+            m[t], m[i] = m[i], m[t]
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            p = m[t][t]
+            clean = True
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // p
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                    clean = clean and not m[i][t]
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = m[t][j] // p
+                    for row in m:
+                        row[j] -= q * row[t]
+                    clean = clean and not m[t][j]
+            if clean:
+                t += 1
+        # Enforce the divisibility chain: a violating pair is merged by a
+        # row addition and the sweep is rerun from that pivot.
+        t = next((i for i in range(n - 1) if m[i][i] and m[i + 1][i + 1] % m[i][i]), None)
+        if t is None:
+            return
+        m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize a over the integers: returns (D, U, V) with D = U·A·V.
 
     U and V are unimodular; D is diagonal with nonnegative entries in a
-    divisibility chain d1 | d2 | ..., zeros trailing. Pivoting is
-    deterministic (smallest |value|, ties by row-major position), so
-    U and V are reproducible.
+    divisibility chain d1 | d2 | ..., zeros trailing. A is bordered by
+    identity columns on the right and identity rows below, so one run of
+    _diagonalize turns the right border into U and the lower one into V.
     """
     rows, cols = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, k):
-        if i != k:
-            m[i], m[k] = m[k], m[i]
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        if j != k:
-            for row in m:
-                row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def add_row(dst, src, factor):
-        if factor:
-            m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, factor):
-        if factor:
-            for row in m:
-                row[dst] += factor * row[src]
-            for row in v:
-                row[dst] += factor * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    def reduce_from(t: int) -> None:
-        while t < min(rows, cols):
-            pivot = _find_pivot(m, t)
-            if pivot is None:
-                return
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            if m[t][t] < 0:
-                negate_row(t)
-            clean = True
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    add_row(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t]:
-                        clean = False
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    add_col(j, t, -(m[t][j] // m[t][t]))
-                    if m[t][j]:
-                        clean = False
-            if clean:
-                t += 1
-
-    reduce_from(0)
-
-    # Enforce the divisibility chain: a violating pair is merged by a row
-    # addition and the sweep is rerun from that pivot.
-    while True:
-        k = min(rows, cols)
-        bad = None
-        for i in range(k - 1):
-            di, dj = m[i][i], m[i + 1][i + 1]
-            if di != 0 and dj % di != 0:
-                bad = i
-                break
-        if bad is None:
-            break
-        add_row(bad, bad + 1, 1)
-        reduce_from(bad)
-
+    m = [list(row) + [int(i == k) for k in range(rows)] for i, row in enumerate(a.entries)]
+    m += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    _diagonalize(m, rows, cols)
     return (
-        IntMatrix(m, cols=cols),
-        IntMatrix(u, cols=rows),
-        IntMatrix(v, cols=cols),
+        IntMatrix([row[:cols] for row in m[:rows]], cols=cols),
+        IntMatrix([row[cols:] for row in m[:rows]], cols=rows),
+        IntMatrix(m[rows:], cols=cols),
     )
 
 
@@ -254,10 +228,11 @@ class AbelianInvariants:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariant factors of the abelianized group, via Smith normal form."""
-    d, _, _ = smith_normal_form(relation_matrix(p))
-    diag = d.diagonal()
-    nonzero = [x for x in diag if x != 0]
+    """Invariant factors of the abelianized group, off the Smith diagonal."""
+    a = relation_matrix(p)
+    m = [list(row) for row in a.entries]
+    _diagonalize(m, a.rows, a.cols)
+    nonzero = [m[i][i] for i in range(min(a.rows, a.cols)) if m[i][i]]
     return AbelianInvariants(
         free_rank=len(p.alphabet) - len(nonzero),
         torsion_factors=tuple(x for x in nonzero if x > 1),

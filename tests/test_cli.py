@@ -204,6 +204,10 @@ class TestRetraction:
         code, out, err = invoke(capsys, "retraction", "--lambda", "3.3")
         assert code == 1 and out == ""
 
+    def test_huge_grid_is_a_budget_error(self, capsys):
+        code, out, err = invoke(capsys, "retraction", "--lambda", "0.5", "--grid", str(10**20))
+        assert code == 2 and out == "" and err.startswith("knotgrp: error:")
+
 
 class TestArgErrors:
     def test_no_arguments(self, capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from knotgrp.errors import InputError
+from knotgrp.errors import BudgetError, InputError
 from knotgrp.geometry import (
     RetractionParams,
     distance_to_target,
@@ -100,6 +100,16 @@ class TestVerify:
     def test_grid_too_small(self):
         with pytest.raises(InputError):
             verify_retraction(RetractionParams(math.pi / 6), 1)
+
+    def test_grid_past_budget_is_refused_before_sampling(self):
+        with pytest.raises(BudgetError, match="budget"):
+            verify_retraction(RetractionParams(math.pi / 6), 10**20)
+
+    def test_images_rounded_outside_the_disk_are_not_rejected(self):
+        # rounding leaves some images about 3e-12 outside the disk here;
+        # idempotence must judge them, not reject them as input
+        report = verify_retraction(RetractionParams(1.5), 256)
+        assert report.idempotent_ok
 
     def test_report_pairs_deterministic(self):
         report = verify_retraction(RetractionParams(math.pi / 6), 8)

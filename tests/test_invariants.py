@@ -122,11 +122,29 @@ class TestSmithNormalForm:
     def test_deterministic(self):
         a = IntMatrix([[6, 4, 2], [4, 0, 8], [2, 8, 0]])
         assert smith_normal_form(a) == smith_normal_form(a)
+        # pinned: the pivot rule fixes U and V, not just D
+        assert smith_normal_form(a) == (
+            IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 64]]),
+            IntMatrix([[1, 0, 0], [0, 0, 1], [-4, 1, 10]]),
+            IntMatrix([[0, 1, -4], [0, 0, 1], [1, -3, 10]]),
+        )
 
     @settings(max_examples=200)
     @given(small_matrices)
     def test_snf_contract_on_random_matrices(self, a):
-        check_snf(a)
+        d, _, _ = check_snf(a)
+        # abelianization reaches the same diagonal without the transforms;
+        # zero rows drop out as trivial relators and change no factor
+        p = Presentation(
+            Alphabet([f"g{j}" for j in range(a.cols)]),
+            [Word([(j, x) for j, x in enumerate(row) if x]) for row in a.entries],
+        )
+        assert relation_matrix(p).entries == tuple(row for row in a.entries if any(row))
+        diag = d.diagonal()
+        assert abelianization(p) == AbelianInvariants(
+            free_rank=a.cols - sum(1 for x in diag if x),
+            torsion_factors=tuple(x for x in diag if x > 1),
+        )
 
 
 class TestRelationMatrix:
@@ -299,6 +317,48 @@ class TestHomCount:
     def test_empty_alphabet(self):
         p = Presentation(Alphabet([]), [])
         assert hom_count(p, builtin_table("S4")) == 1
+
+    @pytest.mark.parametrize(
+        "second,expected",
+        [
+            ("trefoil", {"S3": 30, "D4": 8, "Z5": 5, "A4": 132}),
+            ("paper-5crossing", {"S3": 12, "D4": 8, "Z5": 5}),
+        ],
+    )
+    def test_connected_sum_matches_van_kampen(self, second, expected):
+        # G(K1#K2) is the amalgam of G1 and G2 over the meridian, so
+        # |Hom(G, T)| = sum over x of N1(x)·N2(x), where Ni(x) counts the
+        # homs of Gi sending the first Wirtinger generator to x
+        g1 = wirtinger_presentation(builtin_diagram("trefoil"))
+        g2 = wirtinger_presentation(builtin_diagram(second))
+        k1, k2 = len(g1.alphabet), len(g2.alphabet)
+
+        def shifted(p, by):
+            pos = {gen.id: i + by for i, gen in enumerate(p.alphabet)}
+            return [Word([(pos[g], e) for g, e in r.syllables]) for r in p.relators]
+
+        amalgam = Presentation(
+            Alphabet([f"x{i}" for i in range(k1)] + [f"y{i}" for i in range(k2)]),
+            shifted(g1, 0) + shifted(g2, k1) + [Word([(0, 1), (k1, -1)])],
+        )
+        for target, count in expected.items():
+            table = builtin_table(target)
+            n1, n2 = _meridian_images(g1, table), _meridian_images(g2, table)
+            assert sum(a * b for a, b in zip(n1, n2)) == count
+            assert hom_count(amalgam, table) == count
+
+
+def _meridian_images(p, table):
+    """Brute-force count of the homs of p by image of its first generator."""
+    images = [0] * table.order
+    for values in itertools.product(range(table.order), repeat=len(p.alphabet)):
+        assignment = {gen.id: x for gen, x in zip(p.alphabet, values)}
+        if all(
+            evaluate_word_in_quotient(p, r, assignment, table) == table.identity
+            for r in p.relators
+        ):
+            images[values[0]] += 1
+    return images
 
 
 class TestProfiles:
