@@ -8,10 +8,10 @@ Two invariant families are implemented, both exact:
   Smith forms; transforms exist only when `smith_normal_form` borders
   the matrix with identities for the kernel to carry along;
 * homomorphism counts into small finite groups given by multiplication
-  tables, by an exact search that binds one generator at a time, solves
-  a generator outright when a relator pins it, checks each relator as
-  soon as its generators are bound and fixes the first enumerated image
-  up to conjugacy; the evaluation budget is still the full |T|^|X|.
+  tables, by an exact search that binds each generator to the roots of
+  x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
+  checks each relator once its generators are bound and fixes the first
+  image up to conjugacy; the evaluation budget is still the full |T|^|X|.
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -347,11 +347,9 @@ def builtin_table(name: str) -> FiniteGroupTable:
 
 
 def _build_table(name: str) -> FiniteGroupTable:
-    m = re.fullmatch(r"Z(\d+)", name)
+    m = re.fullmatch(r"Z([2-9]|1[0-2])", name)
     if m:
-        k = int(m.group(1))
-        if 2 <= k <= 12:
-            return _cyclic_table(k)
+        return _cyclic_table(int(m.group(1)))
     if name in ("S3", "S4", "S5"):
         return _symmetric_table(int(name[1]))
     if name in ("A4", "A5"):
@@ -368,22 +366,22 @@ _Program = Tuple[Tuple[int, int], ...]  # (generator position, exponent) syllabl
 
 @dataclass(frozen=True)
 class _Step:
-    """Bind the generator at `position`: to every element when `solve` is
-    None, else to the value of `solve` (inverted when `invert`); then
-    check that each relator in `checks` evaluates to the identity."""
+    """Bind the generator at `position` to each root x of x^exponent = v,
+    v the value of `solve`, then check that each relator in `checks` is
+    the identity. Enumerating is exponent 0 with an empty `solve`."""
 
     position: int
-    solve: _Program | None
-    invert: bool
+    exponent: int
+    solve: _Program
     checks: Tuple[_Program, ...]
 
 
 def _plan(relators: Sequence[_Program]) -> list[_Step]:
     """A binding order for the generators that occur in `relators`.
 
-    A relator A·g^s·B whose only unbound generator g occurs once, with
-    s = ±1, solves it without branching: g^s = (B·A)^-1. Otherwise the
-    step enumerates the unbound generator that occurs in the most
+    A relator A·g^s·B whose only unbound generator g occurs once solves
+    it: g^-s = B·A, a step with exponent -s and program B·A. Otherwise
+    the step enumerates the unbound generator that occurs in the most
     relators, lowest position on ties. Every relator is checked at the
     step that binds its last generator, except the one a step solves.
     """
@@ -400,13 +398,13 @@ def _plan(relators: Sequence[_Program]) -> list[_Step]:
     solvable: set[int] = set()
     steps = []
     while len(bound) < len(rels_of):
-        solved, solve, invert = None, None, False
+        solved, exponent, solve = None, 0, ()
         if solvable:
             solved = min(solvable)
             rel = relators[solved]
             j = next(j for j, (pos, _) in enumerate(rel) if pos not in bound)
             position, s = rel[j]
-            solve, invert = rel[j + 1 :] + rel[:j], s == 1
+            exponent, solve = -s, rel[j + 1 :] + rel[:j]
         else:
             position = next(pos for pos in by_priority if pos not in bound)
         bound.add(position)
@@ -419,10 +417,9 @@ def _plan(relators: Sequence[_Program]) -> list[_Step]:
                     checks.append(relators[r])
             elif unbound[r] == 1:
                 (last,) = gens_of[r] - bound
-                exps = [e for pos, e in relators[r] if pos == last]
-                if exps in ([1], [-1]):
+                if sum(pos == last for pos, _ in relators[r]) == 1:
                     solvable.add(r)
-        steps.append(_Step(position, solve, invert, tuple(checks)))
+        steps.append(_Step(position, exponent, solve, tuple(checks)))
     return steps
 
 
@@ -443,45 +440,42 @@ def _conjugacy_classes(table: FiniteGroupTable) -> dict[int, int]:
 def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     """Assignments of the planned generators that pass every check.
 
-    Depth-first over the plan with an explicit stack of iterators. The
-    first enumerated generator runs over one element per conjugacy class,
-    weighted by the class size: conjugating a homomorphism by a fixed
-    element gives another, so each element of a class extends in equally
-    many ways.
+    Depth-first over the plan with an explicit stack of iterators, each
+    over the roots of x^e = v from a table built once per exponent. Step
+    0 enumerates, since no relator is solvable before a generator is
+    bound, over one element per conjugacy class weighted by its size:
+    conjugating a homomorphism by a fixed element gives another, so each
+    element of a class extends in equally many ways.
     """
     if not steps:
         return 1
-    mul, inv, identity = table.mul, table.inv, table.identity
-    powers = {
-        e: tuple(_table_power(table, x, e) for x in range(table.order))
-        for step in steps
-        for prog in (step.solve or (),) + step.checks
-        for _, e in prog
-    }
+    mul, identity = table.mul, table.identity
+    roots = {step.exponent: [[] for _ in range(table.order)] for step in steps}
+    exponents = roots.keys() | {e for s in steps for prog in (s.solve,) + s.checks for _, e in prog}
+    powers = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
+    for e, by_value in roots.items():
+        for x, v in enumerate(powers[e]):
+            by_value[v].append(x)
 
     def compiled(prog: _Program):
         return tuple((pos, powers[e]) for pos, e in prog)
 
     positions = [step.position for step in steps]
-    solves = [None if step.solve is None else compiled(step.solve) for step in steps]
+    solves = [compiled(step.solve) for step in steps]
+    step_roots = [roots[step.exponent] for step in steps]
     checks = [tuple(map(compiled, step.checks)) for step in steps]
-    first = next((i for i, prog in enumerate(solves) if prog is None), -1)
     class_size = _conjugacy_classes(table)
-    everything = range(table.order)
     value = [identity] * k
 
     def options(level: int):
-        prog = solves[level]
-        if prog is None:
-            return iter(class_size if level == first else everything)
         acc = identity
-        for pos, pw in prog:
+        for pos, pw in solves[level]:
             acc = mul[acc][pw[value[pos]]]
-        return iter((inv[acc] if steps[level].invert else acc,))
+        return iter(step_roots[level][acc])
 
     last = len(steps) - 1
     count, weight = 0, 1
-    stack = [options(0)]
+    stack = [iter(class_size)]
     while stack:
         level = len(stack) - 1
         x = next(stack[level], None)
@@ -489,7 +483,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
             stack.pop()
             continue
         value[positions[level]] = x
-        if level == first:
+        if level == 0:
             weight = class_size[x]
         for prog in checks[level]:
             acc = identity

@@ -145,8 +145,9 @@ class TestInvariantCommands:
 
     def test_bad_target(self, capsys, tmp_path):
         path = self.write(tmp_path, "gens: a\n")
-        code, out, err = invoke(capsys, "homcount", path, "--target", "Q8")
-        assert code == 1 and out == "" and "unknown group" in err
+        for target in ("Q8", "Z012", "Z02"):
+            code, out, err = invoke(capsys, "homcount", path, "--target", target)
+            assert code == 1 and out == "" and "unknown group" in err
 
 
 class TestWordCommands:

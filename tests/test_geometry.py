@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from knotgrp import geometry
 from knotgrp.errors import BudgetError, InputError
 from knotgrp.geometry import (
     RetractionParams,
@@ -110,6 +111,17 @@ class TestVerify:
         # idempotence must judge them, not reject them as input
         report = verify_retraction(RetractionParams(1.5), 256)
         assert report.idempotent_ok
+
+    def test_discontinuous_map_fails_continuity(self, monkeypatch):
+        # a map that jumps away from the puncture must fail the proxy
+        closed_form = geometry._closed_form
+
+        def jump(t, x0, y0):
+            return (0.0, 0.0) if y0 > 0.5 else closed_form(t, x0, y0)
+
+        monkeypatch.setattr(geometry, "_closed_form", jump)
+        report = verify_retraction(RetractionParams(0.5), 64)
+        assert not report.continuity_ok
 
     def test_report_pairs_deterministic(self):
         report = verify_retraction(RetractionParams(math.pi / 6), 8)

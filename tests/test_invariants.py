@@ -17,6 +17,7 @@ from knotgrp.invariants import (
     invariant_profile,
     profile_pairs,
     relation_matrix,
+    _plan,
     smith_normal_form,
 )
 from knotgrp.presentation import (
@@ -27,7 +28,7 @@ from knotgrp.presentation import (
     parse_presentation,
     torus_presentation,
 )
-from knotgrp.wirtinger import builtin_diagram, wirtinger_presentation
+from knotgrp.wirtinger import Crossing, KnotDiagram, builtin_diagram, wirtinger_presentation
 from knotgrp.words import Alphabet, Word
 
 small_matrices = st.integers(min_value=0, max_value=4).flatmap(
@@ -200,7 +201,7 @@ class TestBuiltinTables:
         assert builtin_table("A5") is builtin_table("A5")
 
     def test_unknown_name(self):
-        for bad in ("Z1", "Z13", "S6", "Q8", "foo"):
+        for bad in ("Z1", "Z13", "Z012", "Z02", "S6", "Q8", "foo"):
             with pytest.raises(InputError):
                 builtin_table(bad)
 
@@ -256,7 +257,7 @@ class TestHomCount:
                     st.lists(
                         st.tuples(
                             st.integers(min_value=0, max_value=max(k - 1, 0)),
-                            st.sampled_from([1, -1, 2, -2, 10**9 + 7, -(10**9 + 7)]),
+                            st.sampled_from([1, -1, 2, -2, 3, -3, 6, 10**9 + 7, -(10**9 + 7)]),
                         ),
                         max_size=5 if k else 0,
                     ),
@@ -266,6 +267,7 @@ class TestHomCount:
         ),
     )
     @example("S3", (2, [[(0, 2), (1, -3)]]))  # torus_presentation(2, 3)
+    @example("Z6", (3, [[(0, 2), (1, 2), (2, 2)]]))  # solved by a square root
     @example(  # the trefoil's Wirtinger presentation
         "S3",
         (3, [[(0, 1), (1, 1), (0, -1), (2, -1)], [(1, 1), (2, 1), (1, -1), (0, -1)],
@@ -285,6 +287,15 @@ class TestHomCount:
             ):
                 brute += 1
         assert hom_count(p, table) == brute
+
+    def test_plan_solves_any_single_occurrence(self):
+        # two enumerating steps, then g2 runs over the roots of x^-2 = g0^2 g1^2
+        steps = _plan([((0, 2), (1, 2), (2, 2))])
+        assert [(s.position, s.exponent, s.solve, s.checks) for s in steps] == [
+            (0, 0, (), ()),
+            (1, 0, (), ()),
+            (2, -2, ((0, 2), (1, 2)), ()),
+        ]
 
     def test_wirtinger_into_a5_matches_simplified(self):
         # 60^5 assignments: reachable only because the search prunes
@@ -361,6 +372,11 @@ def _meridian_images(p, table):
     return images
 
 
+def _two_braid(n):
+    """Closed 2-braid diagram of T(2, n): crossing k has over-arc k, in k-1, out k+1."""
+    return KnotDiagram(n, [Crossing(k, (k - 2) % n + 1, k % n + 1, 1) for k in range(1, n + 1)])
+
+
 class TestProfiles:
     def test_identical_presentations_equal_profiles(self):
         targets = ("Z2", "Z3", "S3")
@@ -377,11 +393,24 @@ class TestProfiles:
         assert dict(pt.hom_counts)["S3"] > 6
         assert pu != pt
 
-    def test_trefoil_matches_torus_2_3(self):
-        targets = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3", "S4")
-        trefoil = invariant_profile(wirtinger_presentation(builtin_diagram("trefoil")), targets)
-        torus = invariant_profile(torus_presentation(2, 3), targets)
-        assert trefoil == torus
+    @pytest.mark.parametrize(
+        "n,diagram",
+        [pytest.param(3, builtin_diagram("trefoil"), id="trefoil")]
+        + [pytest.param(n, _two_braid(n), id=f"braid-{n}") for n in (3, 5, 7, 9)],
+    )
+    def test_wirtinger_matches_torus_2_n(self, n, diagram):
+        # the Wirtinger side solves with ±1 steps (S4^9 is past the default
+        # budget); torus_presentation(2, n) solves b from a^2 b^-n by a root step
+        targets = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "S3", "D4", "A4", "S4")
+        wirtinger = invariant_profile(wirtinger_presentation(diagram), targets, max_evals=10**13)
+        torus = invariant_profile(torus_presentation(2, n), targets)
+        assert wirtinger == torus
+        # every knot group abelianizes to Z, so it has exactly k homs into Z_k
+        assert str(torus.abelian) == "Z"
+        counts = dict(torus.hom_counts)
+        assert [counts[f"Z{k}"] for k in range(2, 8)] == list(range(2, 8))
+        expected = [12, 8, 36, 96] if n % 3 == 0 else [6, 8, 12, 24]
+        assert [counts[t] for t in ("S3", "D4", "A4", "S4")] == expected
 
     def test_pairs_are_stable_and_carry_note(self):
         profile = invariant_profile(torus_presentation(2, 3), ("Z2", "S3"))
