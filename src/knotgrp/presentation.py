@@ -22,7 +22,16 @@ from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
 from .torus import AB, TorusParams
-from .words import Alphabet, Word, cyclically_reduce, format_word, parse_word, rotation_conjugator
+from .words import (
+    Alphabet,
+    Word,
+    cyclic_key,
+    cyclically_reduce,
+    format_word,
+    parse_word,
+    rotation_conjugator,
+    substitute,
+)
 
 
 class Presentation:
@@ -141,17 +150,6 @@ def _defining_solution(relator: Word, gid: int) -> Word:
     return rest.inverse() if syl[k][1] == 1 else rest
 
 
-def substitute(w: Word, gid: int, replacement: Word) -> Word:
-    """Replace every occurrence of gid in w by `replacement`, reduced."""
-    raw: list[tuple[int, int]] = []
-    for g, e in w.syllables:
-        if g == gid:
-            raw.extend((replacement ** e).syllables)
-        else:
-            raw.append((g, e))
-    return Word(raw)
-
-
 def _apply_move(p: Presentation, move: TietzeMove) -> Presentation:
     if isinstance(move, AddRelation):
         derived = _derived_word(p.relators, move.derivation)
@@ -215,50 +213,87 @@ def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
 # --- auto_simplify ----------------------------------------------------------
 
 
-def _cyclic_reduction_step(p: Presentation) -> tuple[Presentation, list[TietzeMove]] | None:
-    for i, r in enumerate(p.relators):
+def _cyclic_reduction_step(p: Presentation, script: list[TietzeMove]) -> Presentation:
+    """Replace each relator that is not cyclically reduced by its core, in
+    order: append core = conj⁻¹·r·conj, then remove r, deriving it from
+    the appended core. Cores are fixed points, so one pass reduces all."""
+    i = 0
+    for r in p.relators:
         core, conj = cyclically_reduce(r)
         if conj.is_identity():
+            i += 1
             continue
-        # Replace r by its cyclic core: append core = conj⁻¹·r·conj, then
-        # remove r, deriving it from the appended core.
         add = AddRelation(core, ((i, conj.inverse(), 1),))
-        p2 = _apply_move(p, add)
-        remove = RemoveRelation(i, ((len(p2.relators) - 2, conj, 1),))
-        p3 = _apply_move(p2, remove)
-        return p3, [add, remove]
-    return None
+        p = _apply_move(p, add)
+        remove = RemoveRelation(i, ((len(p.relators) - 2, conj, 1),))
+        p = _apply_move(p, remove)
+        script += (add, remove)
+    return p
 
 
-def _duplicate_removal_step(p: Presentation) -> tuple[Presentation, list[TietzeMove]] | None:
-    for j in range(1, len(p.relators)):
-        for i in range(j):
-            base, target = p.relators[i], p.relators[j]
-            conj, sign = rotation_conjugator(base, target), 1
-            if conj is None:
-                conj, sign = rotation_conjugator(base.inverse(), target), -1
-            if conj is None:
-                continue
-            # After removing index j, relator i keeps its index (i < j).
-            move = RemoveRelation(j, ((i, conj, sign),))
-            return _apply_move(p, move), [move]
-    return None
-
-
-def _elimination_step(p: Presentation) -> tuple[Presentation, list[TietzeMove]] | None:
-    candidates = []
-    for idx, r in enumerate(p.relators):
+def _facts(r: Word, cache: dict[Word, tuple]) -> tuple:
+    """(key of r, key of r⁻¹, elimination candidate) of a cyclically reduced
+    relator, cached by value. The candidate is (letter length, least
+    generator id occurring once with exponent ±1), or None."""
+    facts = cache.get(r)
+    if facts is None:
         counts: dict[int, int] = {}
         for g, _ in r.syllables:
             counts[g] = counts.get(g, 0) + 1
-        for g, e in r.syllables:
-            if counts[g] == 1 and abs(e) == 1:
-                candidates.append((r.letter_length, g, idx))
+        once = [g for g, e in r.syllables if counts[g] == 1 and abs(e) == 1]
+        candidate = (r.letter_length, min(once)) if once else None
+        facts = cache[r] = (cyclic_key(r), cyclic_key(r.inverse()), candidate)
+    return facts
+
+
+def _duplicate_removal_step(
+    p: Presentation, script: list[TietzeMove], cache: dict[Word, tuple]
+) -> Presentation:
+    """Remove each relator r_j that is a rotation of an earlier r_i or r_i⁻¹.
+
+    The earliest i wins, r_i before r_i⁻¹. Only the r_i^±1 that share r_j's
+    :func:`cyclic_key` can match, so a dict probe lists them in increasing
+    i (no nontrivial word shares its inverse's key), and
+    ``rotation_conjugator`` confirms them in turn. After a removal the
+    later indices shift down, so one pass emits the moves that rescanning
+    from the start after every removal would.
+    """
+    earlier: dict[tuple, list[tuple[int, int, Word]]] = {}
+    i = 0
+    for r in p.relators:
+        key, inverse_key, _ = _facts(r, cache)
+        for index, sign, base in earlier.get(key, ()):
+            conj = rotation_conjugator(base if sign == 1 else base.inverse(), r)
+            if conj is not None:
+                # Relator `index` keeps its index: it comes before r.
+                move = RemoveRelation(i, ((index, conj, sign),))
+                p = _apply_move(p, move)
+                script.append(move)
+                break
+        else:
+            earlier.setdefault(key, []).append((i, 1, r))
+            earlier.setdefault(inverse_key, []).append((i, -1, r))
+            i += 1
+    return p
+
+
+def _elimination_step(
+    p: Presentation, script: list[TietzeMove], cache: dict[Word, tuple]
+) -> Presentation:
+    """Eliminate the generator of the least (letter length, generator id,
+    relator index) over relators where it occurs once with exponent ±1."""
+    candidates = []
+    for idx, r in enumerate(p.relators):
+        candidate = _facts(r, cache)[2]
+        if candidate is not None:
+            candidates.append((*candidate, idx))
     if not candidates:
-        return None
+        return p
     _, gid, idx = min(candidates)
     move = RemoveGenerator(p.alphabet.name_of(gid), idx)
-    return _apply_move(p, move), [move]
+    p = _apply_move(p, move)
+    script.append(move)
+    return p
 
 
 def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]]:
@@ -271,26 +306,26 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
     relator wins, ties broken by lowest generator id then lowest relator
     index. Stops when no step applies. The returned script replays to
     the same result via apply_tietze.
+
+    Duplicates are found by key, then confirmed. Each relator's
+    :func:`~knotgrp.words.cyclic_key` and its inverse's are computed once
+    per relator value and kept while the relator stays; a dict probe
+    finds the earlier relators that share a key, and
+    ``rotation_conjugator`` confirms them in order. The script is the one
+    a scan over all relator pairs gives, move for move. Raises
+    BudgetError when a substitution would produce more than
+    ``words.MAX_POWER_SYLLABLES`` syllables.
     """
-    current = p
     script: list[TietzeMove] = []
+    cache: dict[Word, tuple] = {}
     while True:
-        progressed = False
-        while (step := _cyclic_reduction_step(current)) is not None:
-            current, moves = step
-            script.extend(moves)
-            progressed = True
-        while (step := _duplicate_removal_step(current)) is not None:
-            current, moves = step
-            script.extend(moves)
-            progressed = True
-        step = _elimination_step(current)
-        if step is not None:
-            current, moves = step
-            script.extend(moves)
-            progressed = True
-        if not progressed:
-            return current, tuple(script)
+        moves = len(script)
+        p = _cyclic_reduction_step(p, script)
+        p = _duplicate_removal_step(p, script, cache)
+        p = _elimination_step(p, script, cache)
+        if len(script) == moves:
+            return p, tuple(script)
+        cache = {r: cache[r] for r in p.relators if r in cache}
 
 
 def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:

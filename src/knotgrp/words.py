@@ -19,7 +19,8 @@ from .errors import BudgetError, InputError
 
 _NAME_RE = re.compile(r"[A-Za-z][0-9]*")
 
-#: Most syllables a power c^n may repeat out of a cyclic core c of two or more.
+#: Most syllables a power c^n may repeat out of a cyclic core c of two or
+#: more, and most syllables a substitution may produce before reduction.
 MAX_POWER_SYLLABLES = 10**7
 
 Syllable = Tuple[int, int]  # (generator id, nonzero exponent)
@@ -127,16 +128,30 @@ class Alphabet:
 def _reduce(raw: Iterable[Syllable]) -> Tuple[Syllable, ...]:
     """Freely reduce a raw syllable sequence (stack merge)."""
     out: list[Syllable] = []
+    last = None  # generator of out[-1]
     for gid, exp in raw:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gid:
+        if gid == last:
             exp += out.pop()[1]
             if exp:
                 out.append((gid, exp))
-        else:
+            else:
+                last = out[-1][0] if out else None
+        elif exp:
             out.append((gid, exp))
+            last = gid
     return tuple(out)
+
+
+def _join(u: Tuple[Syllable, ...], v: Tuple[Syllable, ...]) -> Tuple[Syllable, ...]:
+    """The reduced product of two reduced syllable tuples: only the join
+    can cancel or merge."""
+    i, j = len(u), 0
+    while i and j < len(v) and u[i - 1][0] == v[j][0]:
+        exp = u[i - 1][1] + v[j][1]
+        if exp:
+            return u[: i - 1] + ((v[j][0], exp),) + v[j + 1 :]
+        i, j = i - 1, j + 1
+    return u[:i] + v[j:]
 
 
 class Word:
@@ -182,7 +197,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.syllables + other.syllables)
+        return Word._from_reduced(_join(self.syllables, other.syllables))
 
     def inverse(self) -> "Word":
         return Word._from_reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -287,9 +302,85 @@ def rotation_conjugator(base: Word, target: Word) -> Word | None:
     """
     syl, want = base.syllables, target.syllables
     for k in range(max(len(syl), 1)):
-        if _reduce(syl[k:] + syl[:k]) == want:
+        if _join(syl[k:], syl[:k]) == want:
             return Word._from_reduced(syl[:k]).inverse()
     return None
+
+
+def _least_rotation(s: Sequence) -> int:
+    """Start of the lexicographically least rotation of s, in O(len(s)).
+
+    Booth's algorithm (K. S. Booth, *Lexicographically least circular
+    substrings*, IPL 1980): a KMP failure function over s·s.
+    """
+    n = len(s)
+    s = tuple(s) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k % n if n else 0
+
+
+def cyclic_key(w: Word) -> Tuple[Syllable, ...]:
+    """A canonical key of w's conjugacy class: equal keys iff conjugate.
+
+    The cyclic core's equal-generator ends merge into one syllable, then
+    Booth's algorithm picks the least syllable rotation, so a b a and
+    a^2 b share the key of b a^2. A shared key is necessary for
+    :func:`rotation_conjugator` to find a rotation but not sufficient:
+    it rotates by whole syllables of its base, so a^2 b never reaches
+    a b a.
+
+    >>> cyclic_key(Word([(0, 1), (1, 1), (0, 1)])) == cyclic_key(Word([(0, 2), (1, 1)]))
+    True
+    >>> cyclic_key(Word([(0, 1), (1, 1), (0, 1)]))
+    ((0, 2), (1, 1))
+    """
+    syl = cyclically_reduce(w)[0].syllables
+    if len(syl) > 1 and syl[0][0] == syl[-1][0]:
+        syl = syl[1:-1] + ((syl[0][0], syl[0][1] + syl[-1][1]),)
+    k = _least_rotation(syl)
+    return syl[k:] + syl[:k]
+
+
+def substitute(w: Word, gid: int, replacement: Word) -> Word:
+    """Replace every occurrence of gid in w by `replacement`, reduced.
+
+    Returns w itself when gid does not occur in it. Raises BudgetError,
+    before allocating, when the result would have more than
+    MAX_POWER_SYLLABLES syllables before reduction.
+    """
+    syl = w.syllables
+    exps = [e for g, e in syl if g == gid]
+    if not exps:
+        return w
+    core, y = cyclically_reduce(replacement)
+    c = len(core)
+    size = len(syl) - len(exps) + sum(2 * len(y) + (1 if c == 1 else c * abs(e)) for e in exps)
+    if size > MAX_POWER_SYLLABLES:
+        raise BudgetError(
+            f"substitution would produce {size} syllables, "
+            f"exceeding the budget of {MAX_POWER_SYLLABLES} syllables"
+        )
+    raw: list[Syllable] = []
+    for g, e in syl:
+        if g == gid:
+            raw.extend((replacement ** e).syllables)
+        else:
+            raw.append((g, e))
+    return Word(raw)
 
 
 def cyclically_equal(u: Word, v: Word, up_to_inversion: bool = False) -> bool:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+from knotgrp import words
 from knotgrp.cli import run
 
 TREFOIL_DIAGRAM = """\
@@ -88,6 +89,18 @@ class TestSimplify:
         assert lines[1] == "rel: a2 a3 a2 a3^-1 a2^-1 a3^-1"
         assert all(line.startswith("move: ") for line in lines[2:])
         assert "move: remove generator a1 using relator 1" in lines
+
+    def test_relator_growth_is_a_budget_error(self, capsys, tmp_path, monkeypatch):
+        # a_{i+1} = a_i b a_i doubles one relator per eliminated generator
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 10**4)
+        k = 40
+        lines = ["gens: " + " ".join(f"a{i}" for i in range(k + 1)) + " b"]
+        lines += [f"rel: a{i + 1}^-1 a{i} b a{i}" for i in range(k)]
+        lines.append(f"rel: a{k} b a{k}^-1 b^-2")
+        path = tmp_path / "chain.pres"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = invoke(capsys, "simplify", str(path))
+        assert code == 2 and out == "" and err.startswith("knotgrp: error:")
 
 
 class TestInvariantCommands:

@@ -1,6 +1,11 @@
-import pytest
+import hashlib
+import time
 
-from knotgrp.errors import InputError
+import pytest
+from hypothesis import example, given, strategies as st
+
+from knotgrp import words as words_module
+from knotgrp.errors import BudgetError, InputError
 from knotgrp.invariants import abelianization, builtin_table, hom_count
 from knotgrp.presentation import (
     AddGenerator,
@@ -8,6 +13,7 @@ from knotgrp.presentation import (
     Presentation,
     RemoveGenerator,
     RemoveRelation,
+    _apply_move,
     apply_tietze,
     auto_simplify,
     describe_script,
@@ -18,8 +24,15 @@ from knotgrp.presentation import (
     substitute,
     torus_presentation,
 )
-from knotgrp.wirtinger import builtin_diagram, wirtinger_presentation
-from knotgrp.words import Alphabet, Word, cyclically_equal, parse_word
+from knotgrp.wirtinger import Crossing, KnotDiagram, builtin_diagram, wirtinger_presentation
+from knotgrp.words import (
+    Alphabet,
+    Word,
+    cyclically_equal,
+    cyclically_reduce,
+    parse_word,
+    rotation_conjugator,
+)
 
 SMALL_TARGETS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3")
 
@@ -275,6 +288,150 @@ class TestAutoSimplify:
             q, _ = auto_simplify(p)
             assert abelianization(p) == abelianization(q)
             assert hom_vector(p, SMALL_TARGETS + ("S4",)) == hom_vector(q, SMALL_TARGETS + ("S4",))
+
+
+def closed_2_braid(n):
+    """T(2,n): crossing k has over=k, in=k-1, out=k+1 (mod n), sign +."""
+    return KnotDiagram(n, [Crossing(k, (k - 2) % n + 1, k % n + 1, 1) for k in range(1, n + 1)])
+
+
+def reference_simplify(p):
+    """auto_simplify's rounds by brute force: every step rescans from the
+    start after each move, and duplicates come from a scan over all pairs."""
+    script = []
+
+    def apply(move):
+        nonlocal p
+        p = _apply_move(p, move)
+        script.append(move)
+        return True
+
+    def cyclic_reduction():
+        for i, r in enumerate(p.relators):
+            core, conj = cyclically_reduce(r)
+            if not conj.is_identity():
+                apply(AddRelation(core, ((i, conj.inverse(), 1),)))
+                return apply(RemoveRelation(i, ((len(p.relators) - 2, conj, 1),)))
+        return False
+
+    def duplicate_removal():
+        for j in range(1, len(p.relators)):
+            for i in range(j):
+                for sign in (1, -1):
+                    base = p.relators[i] if sign == 1 else p.relators[i].inverse()
+                    conj = rotation_conjugator(base, p.relators[j])
+                    if conj is not None:
+                        return apply(RemoveRelation(j, ((i, conj, sign),)))
+        return False
+
+    def elimination():
+        candidates = []
+        for idx, r in enumerate(p.relators):
+            gens = [g for g, _ in r.syllables]
+            candidates += [
+                (r.letter_length, g, idx)
+                for g, e in r.syllables
+                if gens.count(g) == 1 and abs(e) == 1
+            ]
+        if not candidates:
+            return False
+        _, gid, idx = min(candidates)
+        return apply(RemoveGenerator(p.alphabet.name_of(gid), idx))
+
+    while True:
+        progressed = False
+        while cyclic_reduction():
+            progressed = True
+        while duplicate_removal():
+            progressed = True
+        if elimination():
+            progressed = True
+        if not progressed:
+            return p, tuple(script)
+
+
+@st.composite
+def presentations_with_copies(draw):
+    """Random relators over up to three generators, some of them copies of
+    earlier ones rotated letter by letter, inverted or conjugated."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    syllable = st.tuples(st.integers(0, count - 1), st.sampled_from((-2, -1, 1, 2)))
+    relators = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if relators and draw(st.booleans()):
+            syl = draw(st.sampled_from(relators)).syllables
+            letters = [(g, 1 if e > 0 else -1) for g, e in syl for _ in range(abs(e))]
+            k = draw(st.integers(0, max(len(letters) - 1, 0)))
+            w = Word(letters[k:] + letters[:k])
+            if draw(st.booleans()):
+                w = w.inverse()
+            if draw(st.booleans()):
+                w = w.conjugated_by(Word([draw(syllable)]))
+        else:
+            w = Word(draw(st.lists(syllable, min_size=1, max_size=6)))
+        relators.append(w)
+    return Presentation(Alphabet(["a", "b", "c"][:count]), relators)
+
+
+class TestKeyedDuplicateRemoval:
+    @given(presentations_with_copies())
+    @example(parse_presentation("gens: a b\nrel: a b a\nrel: a^2 b"))
+    @example(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a\nrel: a b a\nrel: b^-1 a^-2"))
+    @example(parse_presentation("gens: a b\nrel: a b a b a b\nrel: b a b a b a\nrel: a^-1 b^-1 a^-1 b^-1 a^-1 b^-1"))
+    @example(parse_presentation("gens: a b c\nrel: a^3\nrel: a^-3\nrel: b^2\nrel: a^3\nrel: c b c"))
+    def test_matches_pair_scan_reference(self, p):
+        assert auto_simplify(p) == reference_simplify(p)
+
+    def test_asymmetric_pair(self):
+        # a b a rotates onto a^2 b, but a^2 b does not rotate onto a b a
+        _, script = auto_simplify(parse_presentation("gens: a b\nrel: a b a\nrel: a^2 b"))
+        assert script[0] == RemoveRelation(1, ((0, Word([(1, -1), (0, -1)]), 1),))
+        _, script = auto_simplify(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a"))
+        assert isinstance(script[0], RemoveGenerator)
+        # both earlier relators share the key of the last; the first is no rotation onto it
+        _, script = auto_simplify(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a\nrel: a b a"))
+        assert script[0] == RemoveRelation(2, ((1, Word.identity(), 1),))
+
+    @pytest.mark.parametrize(
+        "n, digest, moves", [(51, "ed75a48a94c1fc04", 50), (101, "a6e1a87b3452c753", 100)]
+    )
+    def test_closed_2_braid_script_digest(self, n, digest, moves):
+        p = wirtinger_presentation(closed_2_braid(n))
+        q, script = auto_simplify(p)
+        assert len(script) == moves
+        assert hashlib.sha256(repr(script).encode()).hexdigest()[:16] == digest
+        assert apply_tietze(p, script) == q
+
+    def test_long_relators_take_one_move(self):
+        p = parse_presentation("gens: a b c\nrel: a b c^-1\nrel: c^3000 b a^5000\nrel: a^2 b^3")
+        start = time.perf_counter()
+        q, script = auto_simplify(p)
+        elapsed = time.perf_counter() - start
+        assert script == (RemoveGenerator("a", 0),)
+        assert apply_tietze(p, script) == q
+        assert elapsed < 0.5, f"took {elapsed:.3f}s"
+
+
+def doubling_chain(k):
+    """a_{i+1} = a_i b a_i for i < k, and a_k b a_k^-1 b^-2: eliminating the
+    chain doubles one relator per round, to 2^k letters."""
+    lines = ["gens: " + " ".join(f"a{i}" for i in range(k + 1)) + " b"]
+    lines += [f"rel: a{i + 1}^-1 a{i} b a{i}" for i in range(k)]
+    lines.append(f"rel: a{k} b a{k}^-1 b^-2")
+    return "\n".join(lines) + "\n"
+
+
+class TestSubstitutionBudget:
+    def test_doubling_chain_is_a_budget_error(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_POWER_SYLLABLES", 10**4)
+        with pytest.raises(BudgetError, match="substitution"):
+            auto_simplify(parse_presentation(doubling_chain(40)))
+
+    def test_short_chain_is_answered(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_POWER_SYLLABLES", 10**4)
+        p = parse_presentation(doubling_chain(6))
+        q, script = auto_simplify(p)
+        assert apply_tietze(p, script) == q
 
 
 class TestTextFormat:

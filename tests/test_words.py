@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from knotgrp.errors import InputError
+from knotgrp import words as words_module
+from knotgrp.errors import BudgetError, InputError
 from knotgrp.words import (
     Alphabet,
     Word,
+    cyclic_key,
     cyclically_equal,
     cyclically_reduce,
     format_word,
@@ -13,6 +15,7 @@ from knotgrp.words import (
     parse_word,
     reduce_word,
     rotation_conjugator,
+    substitute,
 )
 
 AB = Alphabet(["a", "b"])
@@ -102,6 +105,12 @@ class TestMultiplyInvert:
         assert Word.identity() * w == w
         assert w * Word.identity() == w
 
+    @given(words, words)
+    @example(Word([(0, 1), (1, 2)]), Word([(1, -2), (0, -1)]))
+    @example(Word([(0, 1), (1, 2)]), Word([(1, -2), (0, 3)]))
+    def test_product_merges_like_a_full_reduction(self, u, v):
+        assert u * v == Word(u.syllables + v.syllables)
+
     def test_invert_reverses_and_negates(self):
         assert invert(Word([(0, 2), (1, -3)])).syllables == ((1, 3), (0, -2))
 
@@ -179,6 +188,54 @@ class TestCyclicEquality:
         u = Word([(0, 1), (1, 1), (0, -1), (1, -1)])
         assert rotation_conjugator(u, Word([(0, 1), (1, -1), (0, -1), (1, 1)])) is None
         assert rotation_conjugator(u, Word.identity()) is None
+
+
+def letter_cycle(w):
+    """Least rotation of the cyclic core spelled out letter by letter."""
+    letters = [(g, 1 if e > 0 else -1) for g, e in cyclically_reduce(w)[0].syllables for _ in range(abs(e))]
+    return min((tuple(letters[k:] + letters[:k]) for k in range(len(letters))), default=())
+
+
+class TestCyclicKey:
+    @given(words, words)
+    @example(Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)]))
+    @example(Word([(0, 1), (1, 1)] * 3), Word([(1, 1), (0, 1)] * 3))
+    @example(Word([(0, 3)]), Word([(0, -3)]))
+    def test_equal_keys_iff_conjugate(self, u, v):
+        assert (cyclic_key(u) == cyclic_key(v)) == (letter_cycle(u) == letter_cycle(v))
+
+    @given(words, words)
+    def test_invariant_under_conjugation_and_rotation(self, w, y):
+        syl = w.syllables
+        assert cyclic_key(y * w * y.inverse()) == cyclic_key(w)
+        for k in range(len(syl)):
+            assert cyclic_key(Word(syl[k:] + syl[:k])) == cyclic_key(w)
+
+    def test_shared_key_does_not_imply_a_rotation(self):
+        aba, a2b = Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)])
+        assert cyclic_key(aba) == cyclic_key(a2b) == ((0, 2), (1, 1))
+        assert rotation_conjugator(aba, a2b) is not None
+        assert rotation_conjugator(a2b, aba) is None
+
+    def test_periodic_word(self):
+        ab3 = Word([(0, 1), (1, -1)] * 3)
+        assert cyclic_key(Word(ab3.syllables[1:] + ab3.syllables[:1])) == ab3.syllables
+
+
+class TestSubstitute:
+    def test_absent_generator_returns_the_word_itself(self):
+        w = Word([(0, 2), (1, -1)])
+        assert substitute(w, 2, Word([(0, 1), (1, 1)])) is w
+
+    def test_budget_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_POWER_SYLLABLES", 100)
+        w = Word([(0, 1), (1, 1)] * 20)  # twenty occurrences of generator 0
+        assert len(substitute(w, 0, Word([(2, 1), (3, 1)]))) == 60
+        with pytest.raises(BudgetError, match="substitution"):
+            substitute(w, 0, Word([(2, 1), (3, 1)] * 2 + [(2, 1)]))  # 20 + 20·5 > 100
+        assert substitute(Word([(0, 10**9)]), 0, Word([(1, 1), (2, 1), (1, -1)])) == Word(
+            [(1, 1), (2, 10**9), (1, -1)]
+        )
 
 
 class TestParserRobustness:
