@@ -17,6 +17,7 @@ from .invariants import (
     abelianization,
     builtin_table,
     determinant,
+    evaluate_word_in_quotient,
     hom_count,
     invariant_profile,
     relation_matrix,
@@ -30,7 +31,6 @@ from .presentation import (
     RemoveRelation,
     apply_tietze,
     auto_simplify,
-    evaluate_word_in_quotient,
     format_presentation,
     free_product_presentation,
     parse_presentation,

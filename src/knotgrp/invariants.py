@@ -12,6 +12,7 @@ Two invariant families are implemented, both exact:
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
   checks each relator once its generators are bound and fixes the first
   image up to conjugacy; the evaluation budget is still the full |T|^|X|.
+  ``_table_power`` serves the search and ``evaluate_word_in_quotient``.
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -24,10 +25,11 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import BudgetError, InputError
-from .presentation import Presentation, _table_power
+from .presentation import Presentation
+from .words import Word
 
 DEFAULT_MAX_EVALS = 10**8
 
@@ -284,6 +286,37 @@ class FiniteGroupTable:
         for x, y, z in triples:
             if self.mul[self.mul[x][y]][z] != self.mul[x][self.mul[y][z]]:
                 raise InputError(f"{self.name}: multiplication is not associative")
+
+
+def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
+    """x^e by repeated squaring in a finite multiplication table."""
+    if e < 0:
+        x = table.inv[x]
+        e = -e
+    result = table.identity
+    while e:
+        if e & 1:
+            result = table.mul[result][x]
+        x = table.mul[x][x]
+        e >>= 1
+    return result
+
+
+def evaluate_word_in_quotient(
+    p: Presentation, w: Word, assignment: Mapping[int, int], table: FiniteGroupTable
+) -> int:
+    """Image of w under generator-id -> element assignment into a table group."""
+    for gen in p.alphabet:
+        if gen.id not in assignment:
+            raise InputError(f"assignment missing generator {gen.name!r}")
+        if not 0 <= assignment[gen.id] < table.order:
+            raise InputError(
+                f"assignment for {gen.name!r} is not an element index (order {table.order})"
+            )
+    acc = table.identity
+    for gid, e in w.syllables:
+        acc = table.mul[acc][_table_power(table, assignment[gid], e)]
+    return acc
 
 
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:

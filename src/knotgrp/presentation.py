@@ -2,8 +2,8 @@
 
 A relation ``r = s`` is always normalized to the relator ``r * s^-1``;
 presentations store freely reduced, nonempty relators only. Tietze moves
-carry enough data to be replayed and verified, so a simplification script
-is an auditable certificate that the presented group was preserved.
+carry enough data for apply_tietze to replay and verify them, so a script
+is an auditable certificate of the group; describe_script only prints it.
 
 Presentation text format (UTF-8, line based)::
 
@@ -18,7 +18,7 @@ output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InputError
 from .torus import AB, TorusParams
@@ -170,8 +170,6 @@ def _apply_move(p: Presentation, move: TietzeMove) -> Presentation:
         return Presentation(p.alphabet, remaining)
 
     if isinstance(move, AddGenerator):
-        if move.name in p.alphabet:
-            raise InputError(f"AddGenerator: name {move.name!r} already present")
         for gid, _ in move.definition.syllables:
             if not p.alphabet.has_id(gid):
                 raise InputError("AddGenerator: definition uses unknown generators")
@@ -329,21 +327,22 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
 
 
 def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:
-    """One deterministic human-readable line per move, replayed against p."""
+    """One deterministic line per move of a script for p. Only the alphabet
+    is followed, by the ``extend``/``drop`` calls a replay makes; moves are
+    formatted, not validated (apply_tietze validates)."""
     lines = []
-    current = p
+    alphabet = p.alphabet
     for move in script:
         if isinstance(move, AddRelation):
-            lines.append(f"add relator: {format_word(move.consequence, current.alphabet)}")
+            lines.append(f"add relator: {format_word(move.consequence, alphabet)}")
         elif isinstance(move, RemoveRelation):
             lines.append(f"remove relator {move.index}")
         elif isinstance(move, AddGenerator):
-            lines.append(
-                f"add generator {move.name} = {format_word(move.definition, current.alphabet)}"
-            )
+            lines.append(f"add generator {move.name} = {format_word(move.definition, alphabet)}")
+            alphabet = alphabet.extend(move.name)
         else:
             lines.append(f"remove generator {move.name} using relator {move.relator_index}")
-        current = _apply_move(current, move)
+            alphabet = alphabet.drop(move.name)
     return lines
 
 
@@ -375,38 +374,3 @@ def parse_presentation(text: str) -> Presentation:
             relator = parse_word(body, alphabet)
         relators.append(relator)
     return Presentation(alphabet, relators)
-
-
-# --- evaluation in finite quotients ----------------------------------------
-
-
-def _table_power(table, x: int, e: int) -> int:
-    """x^e by repeated squaring in a finite multiplication table."""
-    if e < 0:
-        x = table.inv[x]
-        e = -e
-    result = table.identity
-    base = x
-    while e:
-        if e & 1:
-            result = table.mul[result][base]
-        base = table.mul[base][base]
-        e >>= 1
-    return result
-
-
-def evaluate_word_in_quotient(
-    p: Presentation, w: Word, assignment: Mapping[int, int], table
-) -> int:
-    """Image of w under generator-id -> element assignment into a table group."""
-    for gen in p.alphabet:
-        if gen.id not in assignment:
-            raise InputError(f"assignment missing generator {gen.name!r}")
-        if not 0 <= assignment[gen.id] < table.order:
-            raise InputError(
-                f"assignment for {gen.name!r} is not an element index (order {table.order})"
-            )
-    acc = table.identity
-    for gid, e in w.syllables:
-        acc = table.mul[acc][_table_power(table, assignment[gid], e)]
-    return acc

@@ -81,30 +81,30 @@ def ab_word(syllables: Iterable[LetterSyllable]) -> Word:
     return Word([(ids[L], e) for L, e in syllables])
 
 
-_LETTERS = ("a", "b")
-
-
 def _rewrite(m: int, n: int, syllables) -> tuple[int, Tuple[LetterSyllable, ...]]:
     """Rewriting core over (generator id, exponent) pairs.
 
     Splits runs into central power times bounded residue, merging
     adjacent same-letter runs as they arise; a left-to-right merge stack
     reaches the fixed point of the splitting/merging rules in one pass.
-    Returns (central exponent, alternating bounded syllables).
+    Returns (central exponent, alternating bounded letter syllables).
     """
-    mods = (m, n)
     t = 0
-    out: list[tuple[int, int]] = []
+    out: list[LetterSyllable] = []
     for g, e in syllables:
-        if g not in (0, 1):
+        if g == 0:
+            letter, mod = "a", m
+        elif g == 1:
+            letter, mod = "b", n
+        else:
             raise InputError(f"word uses a generator other than a, b (id {g})")
-        if out and out[-1][0] == g:
+        if out and out[-1][0] == letter:
             e += out.pop()[1]
-        q, r = divmod(e, mods[g])
+        q, r = divmod(e, mod)
         t += q
         if r:
-            out.append((g, r))
-    return t, tuple((_LETTERS[g], e) for g, e in out)
+            out.append((letter, r))
+    return t, tuple(out)
 
 
 def torus_normal_form(p: TorusParams, w: Word) -> TorusNormalForm:
@@ -112,8 +112,7 @@ def torus_normal_form(p: TorusParams, w: Word) -> TorusNormalForm:
 
     Two words are equal in the group iff their normal forms are equal.
     """
-    t, syl = _rewrite(p.m, p.n, w.syllables)
-    return TorusNormalForm(t, syl)
+    return TorusNormalForm(*_rewrite(p.m, p.n, w.syllables))
 
 
 def words_equal_in_torus_group(p: TorusParams, u: Word, v: Word) -> bool:
@@ -129,10 +128,12 @@ def is_central(p: TorusParams, w: Word) -> bool:
     (note ⟨c⟩ is then a proper subgroup of the center, so the normal-
     form test alone would be too strict).
     """
-    nf = torus_normal_form(p, w)
-    if p.m == 1 or p.n == 1:
-        return True
-    return not nf.syllables
+    return not torus_normal_form(p, w).syllables or p.m == 1 or p.n == 1
+
+
+def _check_factor_orders(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise InputError(f"factor orders must be positive, got ({m}, {n})")
 
 
 def free_product_normal_form(m: int, n: int, w: Word) -> FreeProductNormalForm:
@@ -141,10 +142,8 @@ def free_product_normal_form(m: int, n: int, w: Word) -> FreeProductNormalForm:
     Same rewriting as the torus normal form; the central power is
     discarded because a^m and b^n are trivial in the quotient.
     """
-    if m < 1 or n < 1:
-        raise InputError(f"factor orders must be positive, got ({m}, {n})")
-    _, syl = _rewrite(m, n, w.syllables)
-    return FreeProductNormalForm(syl)
+    _check_factor_orders(m, n)
+    return FreeProductNormalForm(_rewrite(m, n, w.syllables)[1])
 
 
 def _cyclic_core(m: int, n: int, syl: Tuple[LetterSyllable, ...]) -> Tuple[LetterSyllable, ...]:
@@ -184,8 +183,7 @@ def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tupl
     Syllables alternate between 'a' (exponents 1..m-1) and 'b'
     (exponents 1..n-1); enumeration order is deterministic.
     """
-    if m < 1 or n < 1:
-        raise InputError(f"factor orders must be positive, got ({m}, {n})")
+    _check_factor_orders(m, n)
     ranges = {"a": range(1, m), "b": range(1, n)}
 
     def extend(prefix: Tuple[LetterSyllable, ...], last: str) -> Iterator[Tuple[LetterSyllable, ...]]:

@@ -384,10 +384,14 @@ def substitute(w: Word, gid: int, replacement: Word) -> Word:
 
 
 def cyclically_equal(u: Word, v: Word, up_to_inversion: bool = False) -> bool:
-    """True if u is a cyclic rotation of v (optionally also of v^-1)."""
-    if rotation_conjugator(u, v) is not None:
-        return True
-    return up_to_inversion and rotation_conjugator(u.inverse(), v) is not None
+    """True if u is conjugate to v (or, with up_to_inversion, to v^-1).
+
+    >>> aba, a2b = Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)])
+    >>> cyclically_equal(aba, a2b), cyclically_equal(a2b, aba)
+    (True, True)
+    """
+    key = cyclic_key(v)
+    return cyclic_key(u) == key or up_to_inversion and cyclic_key(u.inverse()) == key
 
 
 def _parse_int(digits: str, what: str) -> int:

@@ -16,6 +16,7 @@ from knotgrp.invariants import (
     abelianization,
     builtin_table,
     determinant,
+    evaluate_word_in_quotient,
     invariant_profile,
     relation_matrix,
     smith_normal_form,
@@ -25,7 +26,6 @@ from knotgrp.presentation import (
     RemoveGenerator,
     apply_tietze,
     auto_simplify,
-    evaluate_word_in_quotient,
     format_presentation,
     free_product_presentation,
     parse_presentation,

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -89,6 +90,24 @@ class TestSimplify:
         assert lines[1] == "rel: a2 a3 a2 a3^-1 a2^-1 a3^-1"
         assert all(line.startswith("move: ") for line in lines[2:])
         assert "move: remove generator a1 using relator 1" in lines
+
+    def test_closed_2_braid_stdout_digest(self, capsys, tmp_path):
+        # T(2,51): crossing k has over=k, in=k-1, out=k+1 (mod 51); the
+        # digest pins the simplified presentation and all 50 move lines
+        n = 51
+        diagram = tmp_path / "t2-51.knot"
+        diagram.write_text(f"arcs {n}\n" + "".join(
+            f"crossing over={k} in={(k - 2) % n + 1} out={k % n + 1} sign=+\n" for k in range(1, n + 1)
+        ))
+        code, wirtinger, _ = invoke(capsys, "wirtinger", str(diagram))
+        assert code == 0
+        path = tmp_path / "t2-51.pres"
+        path.write_text(wirtinger)
+        code, out, _ = invoke(capsys, "simplify", str(path))
+        assert code == 0 and len(out.splitlines()) == 52
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "43d51b38955688246949e9865d6aefece54028f3ca72cfb103b9e6b40e30ec26"
+        )
 
     def test_relator_growth_is_a_budget_error(self, capsys, tmp_path, monkeypatch):
         # a_{i+1} = a_i b a_i doubles one relator per eliminated generator

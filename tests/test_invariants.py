@@ -13,6 +13,7 @@ from knotgrp.invariants import (
     abelianization,
     builtin_table,
     determinant,
+    evaluate_word_in_quotient,
     hom_count,
     invariant_profile,
     profile_pairs,
@@ -23,7 +24,6 @@ from knotgrp.invariants import (
 from knotgrp.presentation import (
     Presentation,
     auto_simplify,
-    evaluate_word_in_quotient,
     free_product_presentation,
     parse_presentation,
     torus_presentation,

@@ -6,7 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from knotgrp import words as words_module
 from knotgrp.errors import BudgetError, InputError
-from knotgrp.invariants import abelianization, builtin_table, hom_count
+from knotgrp import presentation as presentation_module
+from knotgrp.invariants import abelianization, builtin_table, evaluate_word_in_quotient, hom_count
 from knotgrp.presentation import (
     AddGenerator,
     AddRelation,
@@ -17,7 +18,6 @@ from knotgrp.presentation import (
     apply_tietze,
     auto_simplify,
     describe_script,
-    evaluate_word_in_quotient,
     format_presentation,
     free_product_presentation,
     parse_presentation,
@@ -30,6 +30,7 @@ from knotgrp.words import (
     Word,
     cyclically_equal,
     cyclically_reduce,
+    format_word,
     parse_word,
     rotation_conjugator,
 )
@@ -371,6 +372,93 @@ def presentations_with_copies(draw):
             w = Word(draw(st.lists(syllable, min_size=1, max_size=6)))
         relators.append(w)
     return Presentation(Alphabet(["a", "b", "c"][:count]), relators)
+
+
+def replayed_lines(p, script):
+    """describe_script by replay: each move is applied to learn the
+    alphabet that formats the next one."""
+    lines = []
+    current = p
+    for move in script:
+        if isinstance(move, AddRelation):
+            lines.append(f"add relator: {format_word(move.consequence, current.alphabet)}")
+        elif isinstance(move, RemoveRelation):
+            lines.append(f"remove relator {move.index}")
+        elif isinstance(move, AddGenerator):
+            lines.append(
+                f"add generator {move.name} = {format_word(move.definition, current.alphabet)}"
+            )
+        else:
+            lines.append(f"remove generator {move.name} using relator {move.relator_index}")
+        current = _apply_move(current, move)
+    return lines
+
+
+def drop_then_add_script():
+    """c is eliminated, then d takes c's freed id 2 and e is defined over d."""
+    p = parse_presentation("gens: a b c\nrel: c^-1 a b\nrel: c a^2")
+    ab, d = Word([(0, 1), (1, 1)]), Word([(2, 1)])
+    script = [
+        RemoveGenerator("c", 0),
+        AddGenerator("d", ab),
+        AddGenerator("e", d * Word([(0, 1)])),
+        AddRelation(d * ab.inverse(), ((1, Word.identity(), 1),)),
+        RemoveRelation(3, ((1, Word.identity(), 1),)),
+        RemoveGenerator("d", 1),
+    ]
+    return p, script
+
+
+class TestDescribeScript:
+    def test_user_script_matches_replay(self):
+        p, script = drop_then_add_script()
+        lines = describe_script(p, script)
+        assert lines == replayed_lines(p, script)
+        assert lines == [
+            "remove generator c using relator 0",
+            "add generator d = a b",
+            "add generator e = d a",
+            "add relator: d b^-1 a^-1",
+            "remove relator 3",
+            "remove generator d using relator 1",
+        ]
+        assert format_presentation(apply_tietze(p, script)) == "gens: a b e\nrel: a b a^2\nrel: e a^-1 b^-1 a^-1"
+
+    @pytest.mark.parametrize("source", ["trefoil", "paper-5crossing", "t2-51", "dup"])
+    def test_auto_simplify_scripts_match_replay(self, source):
+        if source == "t2-51":
+            p = wirtinger_presentation(closed_2_braid(51))
+        elif source == "dup":
+            p = parse_presentation("gens: a b c\nrel: b a b^-1 a^-2\nrel: a^-2 b a b^-1\nrel: c a^-1 b")
+        else:
+            p = wirtinger_presentation(builtin_diagram(source))
+        _, script = auto_simplify(p)
+        assert script
+        assert describe_script(p, script) == replayed_lines(p, script)
+
+    @given(presentations_with_copies())
+    def test_random_scripts_match_replay(self, p):
+        _, script = auto_simplify(p)
+        assert describe_script(p, script) == replayed_lines(p, script)
+
+    def test_taken_name_is_refused_by_the_alphabet(self):
+        p, _ = drop_then_add_script()
+        with pytest.raises(InputError, match="move 0 \\(AddGenerator\\): .*'a' already in alphabet"):
+            apply_tietze(p, [AddGenerator("a", Word([(1, 1)]))])
+        with pytest.raises(InputError, match="'a' already in alphabet"):
+            describe_script(p, [AddGenerator("a", Word([(1, 1)]))])
+
+    def test_nothing_is_replayed(self, monkeypatch):
+        p, user_script = drop_then_add_script()
+        q = wirtinger_presentation(closed_2_braid(51))
+        _, auto_script = auto_simplify(q)
+        expected = [replayed_lines(p, user_script), replayed_lines(q, auto_script)]
+
+        def refuse(*args):
+            raise AssertionError("describe_script replayed a move")
+
+        monkeypatch.setattr(presentation_module, "_apply_move", refuse)
+        assert [describe_script(p, user_script), describe_script(q, auto_script)] == expected
 
 
 class TestKeyedDuplicateRemoval:

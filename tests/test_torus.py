@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotgrp.errors import InputError
-from knotgrp.invariants import builtin_table
-from knotgrp.presentation import evaluate_word_in_quotient, torus_presentation
+from knotgrp.invariants import builtin_table, evaluate_word_in_quotient
+from knotgrp.presentation import torus_presentation
 from knotgrp.torus import (
     AB,
     INFINITE,

@@ -176,6 +176,20 @@ class TestCyclicEquality:
         assert not cyclically_equal(u, u.inverse())
         assert cyclically_equal(u, u.inverse(), up_to_inversion=True)
 
+    def test_merged_ends_hold_both_ways(self):
+        # a b a and a^2 b are letter rotations of each other
+        aba, a2b = Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)])
+        assert cyclically_equal(aba, a2b) and cyclically_equal(a2b, aba)
+        assert cyclically_equal(a2b.inverse(), aba, up_to_inversion=True)
+
+    @given(words, words, words, st.booleans())
+    def test_conjugacy(self, u, v, y, up_to_inversion):
+        assert cyclically_equal(u, v, up_to_inversion) == cyclically_equal(v, u, up_to_inversion)
+        conjugate = y * u * y.inverse()
+        assert cyclically_equal(u, conjugate) and cyclically_equal(conjugate, u)
+        # a nontrivial free-group element is never conjugate to its inverse
+        assert cyclically_equal(u, u.inverse()) == u.is_identity()
+
     @given(words)
     def test_rotation_conjugator_conjugates_onto_each_rotation(self, w):
         syl = w.syllables
