@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Iterator, Tuple
 
 from .errors import InputError
-from .words import Alphabet, Word
+from .words import Alphabet, Syllable, Word
 
 #: Alphabet shared by all two-generator torus/free-product computations.
 AB = Alphabet(["a", "b"])
@@ -45,22 +45,70 @@ class TorusParams:
             )
 
 
-@dataclass(frozen=True)
+_LETTERS = ("a", "b")
+_IDS = {"a": 0, "b": 1}
+
+
 class TorusNormalForm:
-    central_exponent: int
-    syllables: Tuple[LetterSyllable, ...]
+    """c^t · s_1 ... s_k, built from ('a'|'b', exponent) syllables.
+
+    It keeps (t, generator-id syllables) and compares and hashes on that
+    pair; letters are made only where `syllables`, str or repr is read.
+
+    >>> TorusNormalForm(2, (("a", 1), ("b", 2)))
+    TorusNormalForm(central_exponent=2, syllables=(('a', 1), ('b', 2)))
+    """
+
+    __slots__ = ("_key",)  # (central exponent, ((generator id, residue), ...))
+
+    def __init__(self, central_exponent: int, syllables: Iterable[LetterSyllable]):
+        try:
+            ids = tuple((_IDS[L], e) for L, e in syllables)
+        except KeyError as err:
+            raise InputError(f"normal-form letter must be a or b, got {err.args[0]!r}") from None
+        object.__setattr__(self, "_key", (central_exponent, ids))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusNormalForm is immutable")
+
+    def __reduce__(self):
+        return TorusNormalForm, (self.central_exponent, self.syllables)
+
+    @property
+    def central_exponent(self) -> int:
+        return self._key[0]
+
+    @property
+    def syllables(self) -> Tuple[LetterSyllable, ...]:
+        return tuple((_LETTERS[g], e) for g, e in self._key[1])
 
     def is_identity(self) -> bool:
-        return self.central_exponent == 0 and not self.syllables
+        return self._key == (0, ())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TorusNormalForm):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        t, syllables = self.central_exponent, self.syllables
+        return f"TorusNormalForm(central_exponent={t!r}, syllables={syllables!r})"
 
     def __str__(self) -> str:
+        t, ids = self._key
         parts = []
-        if self.central_exponent != 0:
-            t = self.central_exponent
+        if t != 0:
             parts.append("c" if t == 1 else f"c^{t}")
-        if self.syllables:
-            parts.append(" ".join(L if e == 1 else f"{L}^{e}" for L, e in self.syllables))
+        if ids:
+            letters = (_LETTERS[g] if e == 1 else f"{_LETTERS[g]}^{e}" for g, e in ids)
+            parts.append(" ".join(letters))
         return " · ".join(parts) if parts else "e"
+
+
+_set_key = TorusNormalForm._key.__set__
 
 
 @dataclass(frozen=True)
@@ -77,33 +125,35 @@ class FreeProductNormalForm:
 
 def ab_word(syllables: Iterable[LetterSyllable]) -> Word:
     """Build a Word over the a,b alphabet from ('a'|'b', exponent) pairs."""
-    ids = {"a": 0, "b": 1}
-    return Word([(ids[L], e) for L, e in syllables])
+    return Word([(_IDS[L], e) for L, e in syllables])
 
 
-def _rewrite(m: int, n: int, syllables) -> tuple[int, Tuple[LetterSyllable, ...]]:
+def _rewrite(m: int, n: int, syllables) -> tuple[int, Tuple[Syllable, ...]]:
     """Rewriting core over (generator id, exponent) pairs.
 
     Splits runs into central power times bounded residue, merging
-    adjacent same-letter runs as they arise; a left-to-right merge stack
-    reaches the fixed point of the splitting/merging rules in one pass.
-    Returns (central exponent, alternating bounded letter syllables).
+    adjacent same-generator runs as they arise; a left-to-right merge
+    stack reaches the fixed point of the splitting/merging rules in one
+    pass. Returns (central exponent, alternating bounded (id, residue)
+    syllables).
     """
+    mods = (m, n)
     t = 0
-    out: list[LetterSyllable] = []
+    out: list[Syllable] = []
+    last = None  # generator of out[-1]
     for g, e in syllables:
-        if g == 0:
-            letter, mod = "a", m
-        elif g == 1:
-            letter, mod = "b", n
-        else:
-            raise InputError(f"word uses a generator other than a, b (id {g})")
-        if out and out[-1][0] == letter:
+        if g == last:
             e += out.pop()[1]
-        q, r = divmod(e, mod)
-        t += q
-        if r:
-            out.append((letter, r))
+        elif g != 0 and g != 1:
+            raise InputError(f"word uses a generator other than a, b (id {g})")
+        mod = mods[g]
+        t += e // mod
+        e %= mod
+        if e:
+            out.append((g, e))
+            last = g
+        else:
+            last = out[-1][0] if out else None
     return t, tuple(out)
 
 
@@ -112,7 +162,9 @@ def torus_normal_form(p: TorusParams, w: Word) -> TorusNormalForm:
 
     Two words are equal in the group iff their normal forms are equal.
     """
-    return TorusNormalForm(*_rewrite(p.m, p.n, w.syllables))
+    nf = object.__new__(TorusNormalForm)
+    _set_key(nf, _rewrite(p.m, p.n, w.syllables))
+    return nf
 
 
 def words_equal_in_torus_group(p: TorusParams, u: Word, v: Word) -> bool:
@@ -143,19 +195,27 @@ def free_product_normal_form(m: int, n: int, w: Word) -> FreeProductNormalForm:
     discarded because a^m and b^n are trivial in the quotient.
     """
     _check_factor_orders(m, n)
-    return FreeProductNormalForm(_rewrite(m, n, w.syllables)[1])
+    ids = _rewrite(m, n, w.syllables)[1]
+    return FreeProductNormalForm(tuple((_LETTERS[g], e) for g, e in ids))
 
 
-def _cyclic_core(m: int, n: int, syl: Tuple[LetterSyllable, ...]) -> Tuple[LetterSyllable, ...]:
-    """Cyclically reduce a free-product normal form by conjugation."""
-    mod = {"a": m, "b": n}
-    current = list(syl)
-    while len(current) >= 2 and current[0][0] == current[-1][0]:
-        L = current[0][0]
-        e = (current[0][1] + current[-1][1]) % mod[L]
-        middle = current[1:-1]
-        current = middle + ([(L, e)] if e else [])
-    return tuple(current)
+def _cyclic_core(m: int, n: int, syl: Tuple[Syllable, ...]) -> Tuple[Syllable, ...]:
+    """Cyclically reduce a free-product normal form over generator ids by
+    conjugation, in O(k).
+
+    Peels equal-generator ends with two indices. The first pair whose
+    exponents do not cancel merges into one last syllable; in an
+    alternating normal form that ends the peeling.
+    """
+    mods = (m, n)
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0]:
+        g = syl[i][0]
+        e = (syl[i][1] + syl[j][1]) % mods[g]
+        i, j = i + 1, j - 1
+        if e:
+            return syl[i : j + 1] + ((g, e),)
+    return syl[i : j + 1]
 
 
 def order_in_free_product(m: int, n: int, w: Word):
@@ -166,13 +226,13 @@ def order_in_free_product(m: int, n: int, w: Word):
     has the order of its exponent in the factor; anything longer has
     infinite order (its powers never collapse).
     """
-    nf = free_product_normal_form(m, n, w)
-    core = _cyclic_core(m, n, nf.syllables)
+    _check_factor_orders(m, n)
+    core = _cyclic_core(m, n, _rewrite(m, n, w.syllables)[1])
     if not core:
         return 1
     if len(core) == 1:
-        L, e = core[0]
-        mod = m if L == "a" else n
+        g, e = core[0]
+        mod = (m, n)[g]
         return mod // gcd(mod, e)
     return INFINITE
 

@@ -17,7 +17,18 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import BudgetError, InputError
 
-_NAME_RE = re.compile(r"[A-Za-z][0-9]*")
+# One name grammar for the alphabet and the parser, so a name an Alphabet
+# accepts always parses as a token.
+_NAME = r"[A-Za-z][0-9]*"
+_SEP = r"[\s*]"
+_NAME_RE = re.compile(_NAME)
+_SEP_RE = re.compile(rf"{_SEP}+")
+_TOKEN_RE = re.compile(rf"({_NAME})(?:\^(-?\d+))?")  # (name, exponent or '')
+# Whole-word syntax: separated tokens, optional separator runs at both ends.
+# Tokens (letter first) and separators share no character, so a failing
+# match backtracks over each character a bounded number of times.
+_TOKEN = rf"{_NAME}(?:\^-?\d+)?"
+_WORD_RE = re.compile(rf"{_SEP}*(?:{_TOKEN}(?:{_SEP}+{_TOKEN})*{_SEP}*)?")
 
 #: Most syllables a power c^n may repeat out of a cyclic core c of two or
 #: more, and most syllables a substitution may produce before reduction.
@@ -410,14 +421,21 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     >>> parse_word("a a^-1", ab).is_identity()
     True
     """
+    if _WORD_RE.fullmatch(text):
+        by_name = alphabet._by_name
+        try:
+            pairs = _TOKEN_RE.findall(text)
+            return Word([(by_name[name].id, int(exp) if exp else 1) for name, exp in pairs])
+        except (KeyError, ValueError):
+            pass  # the token walk below names the first bad token
     raw: list[Syllable] = []
-    for token in re.split(r"[\s*]+", text.strip()):
+    for token in _SEP_RE.split(text):
         if not token:
             continue
-        m = re.fullmatch(r"([A-Za-z][0-9]*)(?:\^(-?\d+))?", token)
+        m = _TOKEN_RE.fullmatch(token)
         if m is None:
             raise InputError(f"malformed word token {token!r}")
-        name, exp_text = m.group(1), m.group(2)
+        name, exp_text = m.groups()
         gid = alphabet.id_of(name)
         exp = _parse_int(exp_text, "exponent") if exp_text is not None else 1
         raw.append((gid, exp))

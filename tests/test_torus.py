@@ -1,3 +1,5 @@
+import math
+import pickle
 import random
 
 import pytest
@@ -134,6 +136,23 @@ class TestTorusNormalForm:
         assert str(TorusNormalForm(0, ())) == "e"
         assert str(TorusNormalForm(2, (("a", 1), ("b", 2)))) == "c^2 · a b^2"
         assert str(TorusNormalForm(1, ())) == "c"
+
+    def test_value_semantics(self):
+        built = torus_normal_form(TorusParams(2, 3), w("a^3 b^-1"))
+        made = TorusNormalForm(0, (("a", 1), ("b", 2)))
+        assert built == made and hash(built) == hash(made)
+        assert built != TorusNormalForm(1, (("a", 1), ("b", 2))) and built != made.syllables
+        assert built.syllables == (("a", 1), ("b", 2)) and built.central_exponent == 0
+        assert repr(built) == "TorusNormalForm(central_exponent=0, syllables=(('a', 1), ('b', 2)))"
+        assert pickle.loads(pickle.dumps(built)) == built
+        with pytest.raises(AttributeError):
+            built.central_exponent = 1
+        with pytest.raises(InputError, match="must be a or b"):
+            TorusNormalForm(0, (("c", 1),))
+
+    def test_negative_generator_id(self):
+        with pytest.raises(InputError, match="other than a, b"):
+            torus_normal_form(TorusParams(2, 3), Word([(-1, 1)]))
 
     @given(ab_raw, st.sampled_from([(2, 3), (3, 4), (3, 5), (1, 4), (5, 2)]))
     def test_matches_reference_rewriting(self, raw, mn):
@@ -360,7 +379,41 @@ class TestTrivialCenterOfFreeProduct:
                 )
 
 
+def reference_cyclic_core(m, n, syl):
+    """The list-rebuilding conjugation loop that _cyclic_core replaced."""
+    mod = {"a": m, "b": n}
+    current = list(syl)
+    while len(current) >= 2 and current[0][0] == current[-1][0]:
+        L = current[0][0]
+        e = (current[0][1] + current[-1][1]) % mod[L]
+        middle = current[1:-1]
+        current = middle + ([(L, e)] if e else [])
+    return tuple(current)
+
+
+def reference_order(m, n, word):
+    core = reference_cyclic_core(m, n, free_product_normal_form(m, n, word).syllables)
+    if len(core) > 1:
+        return INFINITE
+    if not core:
+        return 1
+    mod = m if core[0][0] == "a" else n
+    return mod // math.gcd(mod, core[0][1])
+
+
 class TestTorsionClassification:
+    def test_cyclic_core_matches_reference_on_conjugates(self):
+        from knotgrp.torus import _cyclic_core
+
+        reduced = [ab_word(syl) for syl in enumerate_reduced_words(3, 4, 4)]
+        for core in reduced:
+            for g in reduced[::7]:
+                word = g * core * g.inverse()
+                syl = free_product_normal_form(3, 4, word).syllables
+                expected = ab_word(reference_cyclic_core(3, 4, syl)).syllables
+                assert _cyclic_core(3, 4, ab_word(syl).syllables) == expected
+                assert order_in_free_product(3, 4, word) == reference_order(3, 4, word)
+
     def test_finite_order_implies_short_cyclic_core(self):
         # exhaustive at (2,3), syllable length <= 6
         from knotgrp.torus import _cyclic_core
@@ -369,4 +422,4 @@ class TestTorsionClassification:
             word = ab_word(syl)
             order = order_in_free_product(2, 3, word)
             if order is not INFINITE:
-                assert len(_cyclic_core(2, 3, syl)) <= 1
+                assert len(_cyclic_core(2, 3, word.syllables)) <= 1

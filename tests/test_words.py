@@ -1,5 +1,8 @@
+import re
+import time
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgrp import words as words_module
 from knotgrp.errors import BudgetError, InputError
@@ -267,6 +270,86 @@ class TestParserRobustness:
             parse_word(text, AB)
         except InputError:
             pass
+
+
+def reference_parse(text, alphabet):
+    """The token-by-token parser that parse_word's compiled pass replaced."""
+    raw = []
+    for token in re.split(r"[\s*]+", text.strip()):
+        if not token:
+            continue
+        m = re.fullmatch(r"([A-Za-z][0-9]*)(?:\^(-?\d+))?", token)
+        if m is None:
+            raise InputError(f"malformed word token {token!r}")
+        name, exp_text = m.group(1), m.group(2)
+        gid = alphabet.id_of(name)
+        exp = words_module._parse_int(exp_text, "exponent") if exp_text is not None else 1
+        raw.append((gid, exp))
+    return Word(raw)
+
+
+def parse_outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except InputError as err:
+        return f"InputError: {err}"
+
+
+ABA12 = Alphabet(["a", "b", "a12"])
+_names = st.sampled_from(["a", "b", "a12"])
+_valid_tokens = st.one_of(
+    _names,
+    st.builds("{}^{}".format, _names, st.integers(min_value=-30, max_value=30)),
+    st.builds("{}^0{}".format, _names, st.integers(min_value=0, max_value=9)),
+)
+_bad_tokens = st.sampled_from(["a^^2", "a^", "a^-", "2a", "ab", "a^2b", "^", "c", "x7", "a1", "B"])
+_huge_exponents = st.sampled_from(["a^" + "1" * 5000, "b^-" + "9" * 5000, "a^" + "0" * 5000 + "3"])
+_pieces = st.one_of(_valid_tokens, _valid_tokens, _bad_tokens, _huge_exponents)
+_seps = st.text(alphabet=" \t\n*", max_size=4)
+
+
+@st.composite
+def word_texts(draw):
+    pieces = draw(st.lists(_pieces, max_size=8))
+    text = draw(_seps)
+    for piece in pieces:
+        text += piece + draw(st.one_of(_seps.filter(bool), _seps))
+    return text
+
+
+class TestParseEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(word_texts(), st.sampled_from([AB, ABA12]))
+    @example("a a^^2 c", AB)
+    @example("c a^" + "1" * 5000, AB)
+    @example("a^" + "1" * 5000 + " c", AB)
+    @example(" \t*a12^-3*\n b ", ABA12)
+    def test_same_word_or_same_error_as_token_loop(self, text, alphabet):
+        assert parse_outcome(parse_word, text, alphabet) == parse_outcome(reference_parse, text, alphabet)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a" + "1" * 20000 + "x",
+            "a " * 50000 + "a^^",
+            "a^" + "9" * 5000,
+            " \t*\n" * 25000,
+            " \t*\n" * 25000 + "^",
+            "a" + " " * 100000 + "a^",
+        ],
+        ids=["name-digits", "tokens-then-bad", "huge-exponent", "separators", "separators-then-bad", "gap-then-bad"],
+    )
+    def test_pathological_text_is_linear(self, text):
+        start = time.perf_counter()
+        try:
+            parse_word(text, AB)
+        except InputError:
+            pass
+        assert time.perf_counter() - start < 1.0
+
+    def test_every_alphabet_name_parses(self):
+        names = ["a", "Z", "x0", "q123456789"]
+        assert parse_word(" ".join(names), Alphabet(names)).syllables == ((0, 1), (1, 1), (2, 1), (3, 1))
 
 
 class TestProperties:
