@@ -44,13 +44,20 @@ class Presentation:
         for r in relators:
             if not isinstance(r, Word):
                 raise InputError("relators must be Word values")
-            for gid, _ in r.syllables:
-                if not alphabet.has_id(gid):
-                    raise InputError(f"relator uses generator id {gid} not in alphabet")
+            _check_ids(r, alphabet)
             if not r.is_identity():
                 rels.append(r)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "relators", tuple(rels))
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, relators: Tuple[Word, ...]) -> "Presentation":
+        """A presentation of relators already known to be nonempty and over
+        alphabet's ids, built without checking them again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "relators", relators)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -66,6 +73,12 @@ class Presentation:
     def __repr__(self) -> str:
         rels = ", ".join(format_word(r, self.alphabet) for r in self.relators)
         return f"<Presentation ⟨{' '.join(self.alphabet.names)} | {rels}⟩>"
+
+
+def _check_ids(r: Word, alphabet: Alphabet) -> None:
+    for gid, _ in r.syllables:
+        if not alphabet.has_id(gid):
+            raise InputError(f"relator uses generator id {gid} not in alphabet")
 
 
 def torus_presentation(m: int, n: int) -> Presentation:
@@ -150,54 +163,60 @@ def _defining_solution(relator: Word, gid: int) -> Word:
     return rest.inverse() if syl[k][1] == 1 else rest
 
 
+def _add_relation(relators: list[Word], move: AddRelation) -> None:
+    """Check an AddRelation against relators and append its consequence."""
+    if _derived_word(relators, move.derivation) != move.consequence:
+        raise InputError("AddRelation: derivation does not yield the stated consequence")
+    if move.consequence.is_identity():
+        raise InputError("AddRelation: consequence is the empty word")
+    relators.append(move.consequence)
+
+
+def _remove_relation(relators: list[Word], move: RemoveRelation) -> None:
+    """Check a RemoveRelation against relators and remove its relator."""
+    if not 0 <= move.index < len(relators):
+        raise InputError(f"RemoveRelation: index {move.index} out of range")
+    removed = relators.pop(move.index)
+    if _derived_word(relators, move.derivation) != removed:
+        raise InputError("RemoveRelation: relator is not derived from the remaining ones")
+
+
 def _apply_move(p: Presentation, move: TietzeMove) -> Presentation:
+    """p after one validated move. Relators of p were checked when p was
+    built, so only those the move creates are checked here."""
+    alphabet, relators = p.alphabet, list(p.relators)
     if isinstance(move, AddRelation):
-        derived = _derived_word(p.relators, move.derivation)
-        if derived != move.consequence:
-            raise InputError("AddRelation: derivation does not yield the stated consequence")
-        if move.consequence.is_identity():
-            raise InputError("AddRelation: consequence is the empty word")
-        return Presentation(p.alphabet, p.relators + (move.consequence,))
-
-    if isinstance(move, RemoveRelation):
-        if not 0 <= move.index < len(p.relators):
-            raise InputError(f"RemoveRelation: index {move.index} out of range")
-        removed = p.relators[move.index]
-        remaining = p.relators[: move.index] + p.relators[move.index + 1 :]
-        derived = _derived_word(remaining, move.derivation)
-        if derived != removed:
-            raise InputError("RemoveRelation: relator is not derived from the remaining ones")
-        return Presentation(p.alphabet, remaining)
-
-    if isinstance(move, AddGenerator):
+        _add_relation(relators, move)
+        _check_ids(move.consequence, alphabet)
+    elif isinstance(move, RemoveRelation):
+        _remove_relation(relators, move)
+    elif isinstance(move, AddGenerator):
         for gid, _ in move.definition.syllables:
-            if not p.alphabet.has_id(gid):
+            if not alphabet.has_id(gid):
                 raise InputError("AddGenerator: definition uses unknown generators")
-        alphabet = p.alphabet.extend(move.name)
-        new_gid = alphabet.id_of(move.name)
-        defining = Word([(new_gid, 1)]) * move.definition.inverse()
-        return Presentation(alphabet, p.relators + (defining,))
-
-    if isinstance(move, RemoveGenerator):
-        gid = p.alphabet.id_of(move.name)
-        if not 0 <= move.relator_index < len(p.relators):
+        alphabet = alphabet.extend(move.name)
+        relators.append(Word([(alphabet.id_of(move.name), 1)]) * move.definition.inverse())
+    elif isinstance(move, RemoveGenerator):
+        gid = alphabet.id_of(move.name)
+        if not 0 <= move.relator_index < len(relators):
             raise InputError(f"RemoveGenerator: relator index {move.relator_index} out of range")
-        solution = _defining_solution(p.relators[move.relator_index], gid)
-        new_relators = [
-            substitute(r, gid, solution)
-            for i, r in enumerate(p.relators)
-            if i != move.relator_index
-        ]
-        return Presentation(p.alphabet.drop(move.name), new_relators)
-
-    raise InputError(f"unknown Tietze move {move!r}")
+        solution = _defining_solution(relators.pop(move.relator_index), gid)
+        relators = [substitute(r, gid, solution) for r in relators]
+        relators = [r for r in relators if not r.is_identity()]
+        alphabet = alphabet.drop(move.name)
+    else:
+        raise InputError(f"unknown Tietze move {move!r}")
+    return Presentation._trusted(alphabet, tuple(relators))
 
 
 def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
     """Apply a sequence of Tietze moves, validating each one.
 
     Every move preserves the isomorphism class of the presented group;
-    an inapplicable move raises InputError naming its position.
+    an inapplicable move raises InputError naming its position. Each
+    move's derivation is checked in full, and the relators a move
+    creates are checked against the alphabet; the others were checked
+    before.
     """
     current = p
     for i, move in enumerate(script):
@@ -211,87 +230,61 @@ def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
 # --- auto_simplify ----------------------------------------------------------
 
 
-def _cyclic_reduction_step(p: Presentation, script: list[TietzeMove]) -> Presentation:
-    """Replace each relator that is not cyclically reduced by its core, in
-    order: append core = conj⁻¹·r·conj, then remove r, deriving it from
-    the appended core. Cores are fixed points, so one pass reduces all."""
-    i = 0
-    for r in p.relators:
-        core, conj = cyclically_reduce(r)
-        if conj.is_identity():
-            i += 1
-            continue
-        add = AddRelation(core, ((i, conj.inverse(), 1),))
-        p = _apply_move(p, add)
-        remove = RemoveRelation(i, ((len(p.relators) - 2, conj, 1),))
-        p = _apply_move(p, remove)
-        script += (add, remove)
-    return p
+class _Facts:
+    """What the rounds of auto_simplify read of one cyclically reduced relator.
 
-
-def _facts(r: Word, cache: dict[Word, tuple]) -> tuple:
-    """(key of r, key of r⁻¹, elimination candidate) of a cyclically reduced
-    relator, cached by value. The candidate is (letter length, least
-    generator id occurring once with exponent ±1), or None."""
-    facts = cache.get(r)
-    if facts is None:
-        counts: dict[int, int] = {}
-        for g, _ in r.syllables:
-            counts[g] = counts.get(g, 0) + 1
-        once = [g for g, e in r.syllables if counts[g] == 1 and abs(e) == 1]
-        candidate = (r.letter_length, min(once)) if once else None
-        facts = cache[r] = (cyclic_key(r), cyclic_key(r.inverse()), candidate)
-    return facts
-
-
-def _duplicate_removal_step(
-    p: Presentation, script: list[TietzeMove], cache: dict[Word, tuple]
-) -> Presentation:
-    """Remove each relator r_j that is a rotation of an earlier r_i or r_i⁻¹.
-
-    The earliest i wins, r_i before r_i⁻¹. Only the r_i^±1 that share r_j's
-    :func:`cyclic_key` can match, so a dict probe lists them in increasing
-    i (no nontrivial word shares its inverse's key), and
-    ``rotation_conjugator`` confirms them in turn. After a removal the
-    later indices shift down, so one pass emits the moves that rescanning
-    from the start after every removal would.
+    ``candidate`` is (letter length, least generator id occurring once
+    with exponent ±1), or None. ``gens`` are the generator ids that occur.
+    ``invariant`` counts the occurrences of each generator once
+    equal-generator ends are merged: every rotation of the relator or of
+    its inverse shares it. ``keys`` are the
+    :func:`~knotgrp.words.cyclic_key` of the relator and of its inverse,
+    computed when an invariant collision first needs them.
     """
-    earlier: dict[tuple, list[tuple[int, int, Word]]] = {}
-    i = 0
-    for r in p.relators:
-        key, inverse_key, _ = _facts(r, cache)
-        for index, sign, base in earlier.get(key, ()):
-            conj = rotation_conjugator(base if sign == 1 else base.inverse(), r)
-            if conj is not None:
-                # Relator `index` keeps its index: it comes before r.
-                move = RemoveRelation(i, ((index, conj, sign),))
-                p = _apply_move(p, move)
-                script.append(move)
-                break
-        else:
-            earlier.setdefault(key, []).append((i, 1, r))
-            earlier.setdefault(inverse_key, []).append((i, -1, r))
-            i += 1
-    return p
+
+    __slots__ = ("candidate", "gens", "invariant", "keys")
+
+    def __init__(self, r: Word):
+        syl = r.syllables
+        counts: dict[int, int] = {}
+        for g, _ in syl:
+            counts[g] = counts.get(g, 0) + 1
+        once = [g for g, e in syl if counts[g] == 1 and abs(e) == 1]
+        self.candidate = (r.letter_length, min(once)) if once else None
+        self.gens = frozenset(counts)
+        if len(syl) > 1 and syl[0][0] == syl[-1][0]:
+            counts[syl[0][0]] -= 1
+        self.invariant = frozenset(counts.items())
+        self.keys = None
 
 
-def _elimination_step(
-    p: Presentation, script: list[TietzeMove], cache: dict[Word, tuple]
-) -> Presentation:
-    """Eliminate the generator of the least (letter length, generator id,
-    relator index) over relators where it occurs once with exponent ±1."""
-    candidates = []
-    for idx, r in enumerate(p.relators):
-        candidate = _facts(r, cache)[2]
-        if candidate is not None:
-            candidates.append((*candidate, idx))
-    if not candidates:
-        return p
-    _, gid, idx = min(candidates)
-    move = RemoveGenerator(p.alphabet.name_of(gid), idx)
-    p = _apply_move(p, move)
-    script.append(move)
-    return p
+def _keys(r: Word, facts: _Facts) -> tuple:
+    if facts.keys is None:
+        facts.keys = (cyclic_key(r), cyclic_key(r.inverse()))
+    return facts.keys
+
+
+def _earlier_rotation(
+    relators: list[Word], facts: list[_Facts], same: list[int], j: int
+) -> DerivationStep | None:
+    """(i, conjugator, sign) for the first relator i of `same`, r_i before
+    r_i⁻¹, that ``rotation_conjugator`` rotates onto relator j, or None.
+
+    `same` lists earlier relators that share j's invariant in increasing
+    order. A rotation needs equal keys, so keys are compared first; no
+    nontrivial word shares its inverse's key, so at most one sign of each
+    i gets that far.
+    """
+    r = relators[j]
+    key = _keys(r, facts[j])[0]
+    for i in same:
+        for sign, base_key in zip((1, -1), _keys(relators[i], facts[i])):
+            if base_key == key:
+                base = relators[i] if sign == 1 else relators[i].inverse()
+                conj = rotation_conjugator(base, r)
+                if conj is not None:
+                    return i, conj, sign
+    return None
 
 
 def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]]:
@@ -299,31 +292,79 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
 
     Each round: (1) cyclically reduce relators, (2) delete duplicate
     relators (equal up to cyclic rotation and inversion; empty relators
-    never survive construction), (3) eliminate one generator that occurs
-    in some relator exactly once with exponent ±1 — the shortest such
-    relator wins, ties broken by lowest generator id then lowest relator
-    index. Stops when no step applies. The returned script replays to
-    the same result via apply_tietze.
+    never survive), (3) eliminate one generator that occurs in some
+    relator exactly once with exponent ±1 — the shortest such relator
+    wins, ties broken by lowest generator id then lowest relator index.
+    Stops when no step applies. The returned script replays to the same
+    result via apply_tietze; it is the one a scan over all relator pairs
+    gives, move for move.
 
-    Duplicates are found by key, then confirmed. Each relator's
-    :func:`~knotgrp.words.cyclic_key` and its inverse's are computed once
-    per relator value and kept while the relator stays; a dict probe
-    finds the earlier relators that share a key, and
-    ``rotation_conjugator`` confirms them in order. The script is the one
-    a scan over all relator pairs gives, move for move. Raises
+    Moves are applied in place to one relator list, and every derivation
+    is checked as apply_tietze checks it. Each relator's facts
+    (:class:`_Facts`) are kept by position while it stays, so only the
+    relators a substitution produced are cyclically reduced and described
+    again, and an elimination substitutes only into the relators that
+    contain its generator. A dict probe on the invariant lists the
+    earlier relators that may be rotations of a relator; cyclic keys are
+    computed only on such a collision, and ``rotation_conjugator``
+    confirms them in order. One Presentation is built at the end. Raises
     BudgetError when a substitution would produce more than
     ``words.MAX_POWER_SYLLABLES`` syllables.
     """
     script: list[TietzeMove] = []
-    cache: dict[Word, tuple] = {}
+    alphabet, relators = p.alphabet, list(p.relators)
+    facts: list[_Facts | None] = [None] * len(relators)  # None: not yet reduced and described
     while True:
         moves = len(script)
-        p = _cyclic_reduction_step(p, script)
-        p = _duplicate_removal_step(p, script, cache)
-        p = _elimination_step(p, script, cache)
+        # (1) Only new relators can be cyclically unreduced. Each core is
+        # appended and its relator removed, so later indices shift down.
+        moved = 0
+        for k in [k for k, f in enumerate(facts) if f is None]:
+            i = k - moved
+            core, conj = cyclically_reduce(relators[i])
+            if not conj.is_identity():
+                add = AddRelation(core, ((i, conj.inverse(), 1),))
+                _add_relation(relators, add)
+                remove = RemoveRelation(i, ((len(relators) - 2, conj, 1),))
+                _remove_relation(relators, remove)
+                del facts[i]
+                facts.append(None)
+                script += (add, remove)
+                moved += 1
+        facts = [f or _Facts(r) for f, r in zip(facts, relators)]
+
+        # (2) One pass removes each relator that rotates from an earlier one.
+        earlier: dict[frozenset, list[int]] = {}
+        j = 0
+        while j < len(relators):
+            same = earlier.setdefault(facts[j].invariant, [])
+            found = _earlier_rotation(relators, facts, same, j) if same else None
+            if found is None:
+                same.append(j)
+                j += 1
+            else:
+                move = RemoveRelation(j, (found,))
+                _remove_relation(relators, move)
+                del facts[j]
+                script.append(move)
+
+        # (3) Eliminate the least candidate, substituting only where it occurs.
+        best = min(((*f.candidate, i) for i, f in enumerate(facts) if f.candidate), default=None)
+        if best is not None:
+            _, gid, index = best
+            move = RemoveGenerator(alphabet.name_of(gid), index)
+            solution = _defining_solution(relators.pop(index), gid)
+            del facts[index]
+            for i in reversed([i for i, f in enumerate(facts) if gid in f.gens]):
+                relators[i] = substitute(relators[i], gid, solution)
+                facts[i] = None
+                if relators[i].is_identity():
+                    del relators[i], facts[i]
+            alphabet = alphabet.drop(move.name)
+            script.append(move)
+
         if len(script) == moves:
-            return p, tuple(script)
-        cache = {r: cache[r] for r in p.relators if r in cache}
+            return Presentation._trusted(alphabet, tuple(relators)), tuple(script)
 
 
 def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:

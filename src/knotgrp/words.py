@@ -54,30 +54,16 @@ class Alphabet:
 
     __slots__ = ("_generators", "_by_name", "_by_id")
 
-    def __init__(self, names: Iterable[str], _ids: Sequence[int] | None = None):
-        names = tuple(names)
-        ids = tuple(_ids) if _ids is not None else tuple(range(len(names)))
-        if len(ids) != len(names):
-            raise InputError("id/name count mismatch")
-        generators = []
-        by_name = {}
-        by_id = {}
-        for gid, name in zip(ids, names):
-            if not _NAME_RE.fullmatch(name):
-                raise InputError(
-                    f"invalid generator name {name!r} (expected a letter followed by optional digits)"
-                )
+    def __init__(self, names: Iterable[str]):
+        by_name: dict[str, Generator] = {}
+        for gid, name in enumerate(names):
+            _check_name(name)
             if name in by_name:
                 raise InputError(f"duplicate generator name {name!r}")
-            if gid in by_id:
-                raise InputError(f"duplicate generator id {gid}")
-            gen = Generator(gid, name)
-            generators.append(gen)
-            by_name[name] = gen
-            by_id[gid] = gen
-        self._generators = tuple(generators)
+            by_name[name] = Generator(gid, name)
+        self._generators = tuple(by_name.values())
         self._by_name = by_name
-        self._by_id = by_id
+        self._by_id = {g.id: g for g in self._generators}
 
     @property
     def generators(self) -> Tuple[Generator, ...]:
@@ -122,18 +108,35 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({list(self.names)!r})"
 
+    @classmethod
+    def _of(cls, generators: Tuple[Generator, ...]) -> "Alphabet":
+        """An alphabet of generators whose names and ids were checked before."""
+        alphabet = object.__new__(cls)
+        alphabet._generators = generators
+        alphabet._by_name = {g.name: g for g in generators}
+        alphabet._by_id = {g.id: g for g in generators}
+        return alphabet
+
     def extend(self, name: str) -> "Alphabet":
-        """New alphabet with `name` appended (fresh id)."""
+        """New alphabet with `name` appended (fresh id). Only the new name
+        is checked."""
         if name in self._by_name:
             raise InputError(f"generator name {name!r} already in alphabet")
-        next_id = max((g.id for g in self._generators), default=-1) + 1
-        return Alphabet(self.names + (name,), tuple(g.id for g in self._generators) + (next_id,))
+        _check_name(name)
+        next_id = max(self._by_id, default=-1) + 1
+        return Alphabet._of(self._generators + (Generator(next_id, name),))
 
     def drop(self, name: str) -> "Alphabet":
         """New alphabet without `name`; remaining ids are unchanged."""
         gid = self.id_of(name)
-        kept = [g for g in self._generators if g.id != gid]
-        return Alphabet(tuple(g.name for g in kept), tuple(g.id for g in kept))
+        return Alphabet._of(tuple(g for g in self._generators if g.id != gid))
+
+
+def _check_name(name: str) -> None:
+    if not _NAME_RE.fullmatch(name):
+        raise InputError(
+            f"invalid generator name {name!r} (expected a letter followed by optional digits)"
+        )
 
 
 def _reduce(raw: Iterable[Syllable]) -> Tuple[Syllable, ...]:
@@ -302,20 +305,58 @@ def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
 def rotation_conjugator(base: Word, target: Word) -> Word | None:
     """If target is a cyclic rotation of base, return y with y·base·y⁻¹ = target.
 
-    Rotations go by whole syllables, smallest first, and the ends merge
-    when they carry the same generator, so a b a rotates to b a^2:
+    Rotation k of base's n syllables is its last n - k syllables followed
+    by its first k, freely reduced, with y the first k inverted; the
+    smallest k wins. The ends merge when they carry the same generator,
+    so a b a rotates to b a^2:
 
     >>> aba, ba2 = Word([(0, 1), (1, 1), (0, 1)]), Word([(1, 1), (0, 2)])
     >>> rotation_conjugator(aba, ba2).syllables
     ((0, -1),)
     >>> rotation_conjugator(Word([(0, 1), (1, 1)]), Word([(0, 1), (1, -1)])) is None
     True
+
+    O(n): let p syllables cancel pairwise from both ends (the peel of
+    :func:`cyclically_reduce`). A rotation k <= p only peels, to
+    base[k:n-k]. Every rotation p < k < n - p crosses the same junction,
+    so each is a rotation of one cyclic core (its ends merged), and one
+    search of target in that core doubled finds the least. A rotation
+    k >= n - p repeats the peel of n - k.
     """
     syl, want = base.syllables, target.syllables
-    for k in range(max(len(syl), 1)):
-        if _join(syl[k:], syl[:k]) == want:
-            return Word._from_reduced(syl[:k]).inverse()
-    return None
+    n, p = len(syl), 0
+    while p < n - 1 - p and syl[p][0] == syl[-1 - p][0] and syl[p][1] == -syl[-1 - p][1]:
+        p += 1
+    k, odd = divmod(n - len(want), 2)
+    if not odd and 0 <= k <= p and syl[k : n - k] == want:
+        return Word._from_reduced(syl[:k]).inverse()
+    core = syl[p : n - p]
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        core = core[1:-1] + ((core[0][0], core[0][1] + core[-1][1]),)
+        p += 1  # rotation p + 1 starts the merged core
+    if len(core) != len(want):
+        return None
+    s = _find(want, core + core[:-1])
+    return None if s < 0 else Word._from_reduced(syl[: p + s]).inverse()
+
+
+def _find(pattern: Tuple, text: Tuple) -> int:
+    """Start of the first occurrence of a nonempty pattern in text, or -1,
+    in O(len(pattern) + len(text)): the KMP failure function of
+    pattern·None·text reaches len(pattern) where a match ends."""
+    s = pattern + (None,) + text
+    m = len(pattern)
+    fail = [0] * len(s)
+    for j in range(1, len(s)):
+        c, i = s[j], fail[j - 1]
+        while i and c != s[i]:
+            i = fail[i - 1]
+        if c == s[i]:
+            i += 1
+            if i == m:
+                return j - 2 * m
+        fail[j] = i
+    return -1
 
 
 def _least_rotation(s: Sequence) -> int:

@@ -2,7 +2,7 @@ import hashlib
 import time
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgrp import words as words_module
 from knotgrp.errors import BudgetError, InputError
@@ -150,6 +150,24 @@ class TestTietzeMoves:
         assert q.alphabet.names == ("a", "b")
         assert words_of(q) == [((0, 1), (1, 1), (0, 1), (1, 1), (0, 1))]  # (ab)^2 a
 
+    def test_replay_checks_what_a_move_creates(self):
+        p = torus_presentation(2, 3)
+        stray = Word([(5, 1)])
+        consequence = p.relators[0].conjugated_by(stray)  # derived, but over id 5
+        cases = [
+            ([AddRelation(consequence, ((0, stray, 1),))],
+             "move 0 (AddRelation): relator uses generator id 5 not in alphabet"),
+            ([AddGenerator("c", Word([(0, 1), (7, 1)]))],
+             "move 0 (AddGenerator): AddGenerator: definition uses unknown generators"),
+            ([AddGenerator("c", Word([(0, 1)])), RemoveGenerator("c", 2)],
+             "move 1 (RemoveGenerator): RemoveGenerator: relator index 2 out of range"),
+            ([RemoveGenerator("c", 0)], "move 0 (RemoveGenerator): unknown generator 'c'"),
+        ]
+        for script, message in cases:
+            with pytest.raises(InputError) as raised:
+                apply_tietze(p, script)
+            assert str(raised.value) == message
+
     def test_substitute_handles_negative_exponents(self):
         # a^-2 b with a -> bc: (bc)^-2 b = c^-1 b^-1 c^-1 b^-1 b = c^-1 b^-1 c^-1
         w = Word([(0, -2), (1, 1)])
@@ -263,6 +281,14 @@ class TestAutoSimplify:
         assert format_presentation(q) == "gens:"
         assert apply_tietze(p, script) == q
 
+    def test_elimination_drops_an_emptied_relator(self):
+        # a = b empties a^2 b^-2; simplify and replay both drop it
+        p = parse_presentation("gens: a b\nrel: a b^-1\nrel: a^2 b^-2")
+        q, script = auto_simplify(p)
+        assert script == (RemoveGenerator("a", 0),)
+        assert q.alphabet.names == ("b",) and q.relators == ()
+        assert apply_tietze(p, script) == q
+
     def test_unused_generator_is_kept(self):
         # dropping a generator that occurs in no relator would change the group
         p = parse_presentation("gens: a b\nrel: a^2")
@@ -374,6 +400,39 @@ def presentations_with_copies(draw):
     return Presentation(Alphabet(["a", "b", "c"][:count]), relators)
 
 
+@st.composite
+def single_loop(draw):
+    """A single-loop diagram of 1-10 arcs: the loop visits the arcs in a
+    random order, and each crossing has a random over-arc and sign."""
+    arcs = draw(st.integers(min_value=1, max_value=10))
+    order = draw(st.permutations(range(1, arcs + 1)))
+    return [
+        (draw(st.integers(1, arcs)), order[k], order[(k + 1) % arcs], draw(st.sampled_from((1, -1))))
+        for k in range(arcs)
+    ]
+
+
+def connected_sum(first, second):
+    """One loop from two: the crossings that produce arc 1 of each summand
+    swap their outgoing arcs."""
+    shift = len(first)
+    crossings = first + [(o + shift, i + shift, u + shift, s) for o, i, u, s in second]
+    a = next(k for k, c in enumerate(crossings) if c[2] == 1)
+    b = next(k for k, c in enumerate(crossings) if c[2] == shift + 1)
+    (over_a, in_a, out_a, sign_a), (over_b, in_b, out_b, sign_b) = crossings[a], crossings[b]
+    crossings[a], crossings[b] = (over_a, in_a, out_b, sign_a), (over_b, in_b, out_a, sign_b)
+    return crossings
+
+
+@st.composite
+def diagram_presentations(draw):
+    """Wirtinger presentations of single loops and their connected sums."""
+    crossings = draw(single_loop())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        crossings = connected_sum(crossings, draw(single_loop()))
+    return wirtinger_presentation(KnotDiagram(len(crossings), [Crossing(*c) for c in crossings]))
+
+
 def replayed_lines(p, script):
     """describe_script by replay: each move is applied to learn the
     alphabet that formats the next one."""
@@ -470,6 +529,13 @@ class TestKeyedDuplicateRemoval:
     def test_matches_pair_scan_reference(self, p):
         assert auto_simplify(p) == reference_simplify(p)
 
+    @settings(max_examples=300, deadline=None)
+    @given(diagram_presentations())
+    def test_elimination_chains_match_reference(self, p):
+        q, script = auto_simplify(p)
+        assert (q, script) == reference_simplify(p)
+        assert apply_tietze(p, script) == q
+
     def test_asymmetric_pair(self):
         # a b a rotates onto a^2 b, but a^2 b does not rotate onto a b a
         _, script = auto_simplify(parse_presentation("gens: a b\nrel: a b a\nrel: a^2 b"))
@@ -489,6 +555,27 @@ class TestKeyedDuplicateRemoval:
         assert len(script) == moves
         assert hashlib.sha256(repr(script).encode()).hexdigest()[:16] == digest
         assert apply_tietze(p, script) == q
+
+    def test_work_done_on_closed_2_braid(self, monkeypatch):
+        # counts, not timings: only relators holding the generator are
+        # substituted into, and keys are computed on invariant collisions only
+        calls = {"substitute": 0, "unchanged": 0, "cyclic_key": 0}
+
+        def counting_substitute(w, gid, replacement):
+            calls["substitute"] += 1
+            out = substitute(w, gid, replacement)
+            calls["unchanged"] += out == w
+            return out
+
+        def counting_key(w):
+            calls["cyclic_key"] += 1
+            return words_module.cyclic_key(w)
+
+        monkeypatch.setattr(presentation_module, "substitute", counting_substitute)
+        monkeypatch.setattr(presentation_module, "cyclic_key", counting_key)
+        auto_simplify(wirtinger_presentation(closed_2_braid(51)))
+        assert calls["substitute"] == 98 and calls["unchanged"] == 0
+        assert calls["cyclic_key"] <= 10
 
     def test_long_relators_take_one_move(self):
         p = parse_presentation("gens: a b c\nrel: a b c^-1\nrel: c^3000 b a^5000\nrel: a^2 b^3")

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -54,6 +55,27 @@ class TestAlphabet:
         smaller = bigger.drop("b")
         assert smaller.names == ("a", "c", "d")
         assert smaller.id_of("c") == 2  # unchanged
+        # equal, and equally hashed, to the same alphabet reached another way
+        for derived, other in (
+            (bigger, Alphabet(["a", "b", "c", "d"])),
+            (smaller, Alphabet(["a", "b", "c", "d"]).drop("b")),
+            (smaller, ab.drop("b").extend("d")),
+        ):
+            assert derived == other and hash(derived) == hash(other)
+            assert [derived.name_of(g.id) for g in other] == list(other.names)
+        assert smaller.extend("b").generators[-1] == (4, "b")
+
+    def test_extend_and_drop_refuse_like_the_constructor(self):
+        ab = Alphabet(["a", "b"])
+        with pytest.raises(InputError, match="^unknown generator 'c'$"):
+            ab.drop("c")
+        with pytest.raises(InputError, match="^generator name 'a' already in alphabet$"):
+            ab.extend("a")
+        for bad in ("", "1a", "a_b", "ab"):
+            with pytest.raises(InputError, match="^invalid generator name"):
+                ab.extend(bad)
+        with pytest.raises(InputError, match="^unknown generator 'b'$"):
+            ab.drop("b").drop("b")
 
 
 class TestParse:
@@ -168,6 +190,35 @@ class TestCyclicReduce:
             assert core.syllables[0][0] == gid
 
 
+def trial_rotation_conjugator(base, target):
+    """rotation_conjugator by trying the rotations one at a time, O(n²)."""
+    syl = base.syllables
+    for k in range(max(len(syl), 1)):
+        if Word(syl[k:] + syl[:k]) == target:
+            return Word(syl[:k]).inverse()
+    return None
+
+
+@st.composite
+def rotation_pairs(draw):
+    """A word, some of them conjugates y·w·y⁻¹ that must be peeled, and a
+    target: a random word, or a syllable or letter rotation of the base or
+    of its inverse."""
+    base = draw(words)
+    if draw(st.booleans()):
+        y = draw(words)
+        base = y * base * y.inverse()
+    kind = draw(st.sampled_from(("word", "syllables", "letters")))
+    if kind == "word":
+        return base, draw(words)
+    units = base.syllables
+    if kind == "letters":
+        units = [(g, 1 if e > 0 else -1) for g, e in units for _ in range(abs(e))]
+    k = draw(st.integers(0, max(len(units) - 1, 0)))
+    target = Word(list(units[k:]) + list(units[:k]))
+    return base, target.inverse() if draw(st.booleans()) else target
+
+
 class TestCyclicEquality:
     def test_rotation(self):
         u = Word([(0, 1), (1, 1), (0, -1), (1, -1)])
@@ -205,6 +256,32 @@ class TestCyclicEquality:
         u = Word([(0, 1), (1, 1), (0, -1), (1, -1)])
         assert rotation_conjugator(u, Word([(0, 1), (1, -1), (0, -1), (1, 1)])) is None
         assert rotation_conjugator(u, Word.identity()) is None
+
+    @given(rotation_pairs())
+    @example((Word([(0, 1), (1, 1), (0, 1)]), Word([(1, 1), (0, 2)])))
+    @example((Word([(0, 2), (1, 1)]), Word([(0, 1), (1, 1), (0, 1)])))
+    @example((Word([(2, 1), (0, 1), (1, 1), (2, -1)]), Word([(1, 1), (0, 1)])))
+    @example((Word([(2, 1), (0, 1), (1, 1), (2, -1)]), Word([(0, 1), (1, 1)])))
+    @example((Word([(2, 1), (0, 2), (1, 1), (0, -1), (2, -1)]), Word([(1, 1), (0, 1)])))
+    @example((Word([(0, 1), (1, 1), (0, 1), (1, 1)]), Word([(0, 1), (1, 1), (0, 1), (1, 1)])))
+    @example((Word([(0, 1), (1, 1), (0, 1), (1, 1)]), Word([(1, 1), (0, 1), (1, 1), (0, 1)])))
+    def test_rotation_conjugator_matches_trial_rotations(self, pair):
+        base, target = pair
+        assert rotation_conjugator(base, target) == trial_rotation_conjugator(base, target)
+
+    def test_half_rotation_is_linear(self):
+        rng = random.Random(16000)
+        syl = [(0, 1)]
+        while len(syl) < 16000 or syl[-1][0] == syl[0][0]:
+            syl.append((rng.choice([g for g in range(3) if g != syl[-1][0]]), rng.choice((-1, 1, 2))))
+        base = Word(syl)
+        target = Word(syl[len(syl) // 2 :] + syl[: len(syl) // 2])
+        start = time.perf_counter()
+        y = rotation_conjugator(base, target)
+        elapsed = time.perf_counter() - start
+        assert y == Word(syl[: len(syl) // 2]).inverse()
+        assert elapsed < 0.25, f"took {elapsed:.3f}s"
+
 
 
 def letter_cycle(w):
