@@ -3,10 +3,14 @@
 Two invariant families are implemented, both exact:
 
 * the abelianization, read off the Smith diagonal of the relator
-  exponent-sum matrix (arbitrary-precision integers, so entry growth
-  during elimination is harmless). One elimination kernel does all
-  Smith forms; transforms exist only when `smith_normal_form` borders
-  the matrix with identities for the kernel to carry along;
+  exponent-sum matrix in arbitrary-precision integers. One elimination
+  kernel does all Smith forms. Each position takes the smallest entry
+  of the remaining block as pivot, then sweeps its row and column with
+  rounded quotients, so every nonzero remainder is at most half the
+  pivot and becomes the next one: the pivots strictly decrease, which
+  ends the sweeps and keeps entries and transforms small. Transforms
+  exist only when `smith_normal_form` borders the matrix with
+  identities for the kernel to carry along;
 * homomorphism counts into small finite groups given by multiplication
   tables, by an exact search that binds each generator to the roots of
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
@@ -122,50 +126,86 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _find_pivot(m: list[list[int]], start: int, rows: int, cols: int) -> tuple[int, int] | None:
-    """Deterministic pivot: minimal |value| nonzero, ties row-major."""
-    best = None
-    for i in range(start, rows):
-        for j in range(start, cols):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                best = (i, j)
+def _find_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
+    """Smallest |value| nonzero in the block from (t, t), ties row-major.
+
+    The scan stops at the first ±1, which no entry can beat.
+    """
+    best, size = None, 0
+    for i in range(t, rows):
+        row = m[i]
+        for j in range(t, cols):
+            v = row[j]
+            if v:
+                a = abs(v)
+                if a == 1:
+                    return i, j
+                if best is None or a < size:
+                    best, size = (i, j), a
     return best
 
 
 def _diagonalize(m: list[list[int]], rows: int, cols: int) -> None:
     """Bring the leading rows×cols block of m to Smith form, in place.
 
-    Every row operation acts on the whole row and every column operation
-    on the whole column, so whatever borders the block (rows below it,
-    columns to its right) undergoes the same operations. Pivoting is
-    deterministic: smallest |value|, ties by row-major position.
+    Whatever borders the block (rows below it, columns to its right)
+    undergoes the same row and column operations, so identity borders
+    become the transforms. At position t, rows t and below are zero left
+    of column t and rows above t are zero from column t on, so row
+    operations act on row[t:] and column operations skip the rows above
+    t. Both borders lie outside what is skipped (the lower one starts at
+    row `rows` > t, the right one at column `cols` > t), so they stay exact.
+
+    Pivoting is deterministic. Position t first takes the smallest
+    |value| of the whole remaining block, ties row-major, made positive.
+    A sweep subtracts q = round(b/p) times the pivot p from every entry b
+    below it (row operations) and right of it (column operations), so
+    each remainder has |r| ≤ p/2. If any remainder is nonzero, the
+    smallest (ties row-major), found during the sweep, becomes the pivot
+    at t and the sweep repeats. Each pivot at t is at most half the one
+    before, so the sweeps end, with column t and row t clear. A pivot
+    that divides its whole row and column, as 1 does, takes one sweep.
     """
     n, t = min(rows, cols), 0
     while True:
         while t < n and (pivot := _find_pivot(m, t, rows, cols)) is not None:
-            i, j = pivot
-            m[t], m[i] = m[i], m[t]
-            if j != t:
-                for row in m:
-                    row[t], row[j] = row[j], row[t]
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-            p = m[t][t]
-            clean = True
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    clean = clean and not m[i][t]
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    for row in m:
-                        row[j] -= q * row[t]
-                    clean = clean and not m[t][j]
-            if clean:
-                t += 1
+            while pivot is not None:
+                i, j = pivot
+                m[t], m[i] = m[i], m[t]
+                if j != t:
+                    for row in m[t:]:
+                        row[t], row[j] = row[j], row[t]
+                head = m[t]
+                if head[t] < 0:
+                    head[t:] = [-x for x in head[t:]]
+                tail = head[t:]
+                p = tail[0]
+                half = p >> 1
+                pivot, size = None, 0
+                for k in range(t + 1, rows):
+                    row = m[k]
+                    b = row[t]
+                    if b:
+                        q = (b + half) // p
+                        if q:
+                            row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
+                            b = row[t]
+                        if b and (pivot is None or abs(b) < size):
+                            pivot, size = (k, t), abs(b)
+                right = head[t + 1 : cols]
+                qs = right if p == 1 else [(b + half) // p for b in right]
+                if any(qs):
+                    for row in m[t:]:
+                        c = row[t]
+                        if c:
+                            row[t + 1 : cols] = [x - q * c for x, q in zip(row[t + 1 : cols], qs)]
+                # a pivot of 1 leaves no remainders; row t precedes the
+                # rows below it in row-major order
+                if p > 1 and any(right := head[t + 1 : cols]):
+                    a, k = min((abs(b), k) for k, b in enumerate(right, t + 1) if b)
+                    if pivot is None or a <= size:
+                        pivot = t, k
+            t += 1
         # Enforce the divisibility chain: a violating pair is merged by a
         # row addition and the sweep is rerun from that pivot.
         t = next((i for i in range(n - 1) if m[i][i] and m[i + 1][i + 1] % m[i][i]), None)
@@ -193,16 +233,22 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def relation_matrix(p: Presentation) -> IntMatrix:
+def _exponent_rows(p: Presentation) -> list[list[int]]:
     """One row per relator, one column per generator: exponent sums."""
-    positions = {gen.id: k for k, gen in enumerate(p.alphabet)}
-    grid = []
+    positions = {gid: k for k, (gid, _) in enumerate(p.alphabet)}
+    width = len(positions)
+    rows = []
     for r in p.relators:
-        row = [0] * len(p.alphabet)
+        row = [0] * width
         for gid, e in r.syllables:
             row[positions[gid]] += e
-        grid.append(tuple(row))
-    return IntMatrix(grid, cols=len(p.alphabet))
+        rows.append(row)
+    return rows
+
+
+def relation_matrix(p: Presentation) -> IntMatrix:
+    """One row per relator, one column per generator: exponent sums."""
+    return IntMatrix(_exponent_rows(p), cols=len(p.alphabet))
 
 
 @dataclass(frozen=True)
@@ -231,12 +277,12 @@ class AbelianInvariants:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized group, off the Smith diagonal."""
-    a = relation_matrix(p)
-    m = [list(row) for row in a.entries]
-    _diagonalize(m, a.rows, a.cols)
-    nonzero = [m[i][i] for i in range(min(a.rows, a.cols)) if m[i][i]]
+    m = _exponent_rows(p)
+    width = len(p.alphabet)
+    _diagonalize(m, len(m), width)
+    nonzero = [m[i][i] for i in range(min(len(m), width)) if m[i][i]]
     return AbelianInvariants(
-        free_rank=len(p.alphabet) - len(nonzero),
+        free_rank=width - len(nonzero),
         torsion_factors=tuple(x for x in nonzero if x > 1),
     )
 

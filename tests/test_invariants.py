@@ -10,6 +10,7 @@ from knotgrp.invariants import (
     AbelianInvariants,
     FiniteGroupTable,
     IntMatrix,
+    _diagonalize,
     abelianization,
     builtin_table,
     determinant,
@@ -60,6 +61,105 @@ def check_snf(a):
         else:
             assert y % x == 0
     return d, u, v
+
+
+def reference_find_pivot(m, start, rows, cols):
+    """The pivot rule before rounded sweeps: minimal |value|, ties row-major."""
+    best = None
+    for i in range(start, rows):
+        for j in range(start, cols):
+            v = m[i][j]
+            if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def reference_diagonalize(m, rows, cols):
+    """_diagonalize before rounded sweeps: floor quotients, whole-row and
+    whole-column operations, a full rescan of the block after each sweep."""
+    n, t = min(rows, cols), 0
+    while True:
+        while t < n and (pivot := reference_find_pivot(m, t, rows, cols)) is not None:
+            i, j = pivot
+            m[t], m[i] = m[i], m[t]
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            p = m[t][t]
+            clean = True
+            for i in range(t + 1, rows):
+                if m[i][t]:
+                    q = m[i][t] // p
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                    clean = clean and not m[i][t]
+            for j in range(t + 1, cols):
+                if m[t][j]:
+                    q = m[t][j] // p
+                    for row in m:
+                        row[j] -= q * row[t]
+                    clean = clean and not m[t][j]
+            if clean:
+                t += 1
+        t = next((i for i in range(n - 1) if m[i][i] and m[i + 1][i + 1] % m[i][i]), None)
+        if t is None:
+            return
+        m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
+
+
+def unimodular(draw, n):
+    """An n×n integer matrix of determinant ±1: the identity under random
+    row additions and swaps."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return u
+    ops = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(-2, 2))
+    for i, shift, c in draw(st.lists(ops, max_size=2 * n)):
+        j = (i + shift) % n
+        if c:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        else:
+            u[i], u[j] = u[j], u[i]
+    return u
+
+
+@st.composite
+def matrices_up_to_8(draw):
+    """Matrices of up to 8×8, wide, tall or square: dense or sparse entries
+    in [-9, 9], singular ones, ones with a zero row or column, and
+    U·diag(d)·V with a divisibility chain d so that factors other than 1
+    occur."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("dense", "sparse", "singular", "zero line", "chain")))
+    if kind == "chain":
+        k = min(rows, cols)
+        d, x = [], 1
+        for _ in range(k - draw(st.integers(0, k))):
+            x *= draw(st.sampled_from((1, 1, 2, 3, 6)))
+            d.append(x)
+        d += [0] * (k - len(d))
+        diag = IntMatrix(
+            [[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)], cols=cols
+        )
+        u = IntMatrix(unimodular(draw, rows), cols=rows)
+        v = IntMatrix(unimodular(draw, cols), cols=cols)
+        return u @ diag @ v
+    entry = st.integers(-9, 9)
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), entry)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if kind == "singular" and rows >= 2:
+        i, j = draw(st.permutations(range(rows)))[:2]
+        m[i] = [-x for x in m[j]]
+    elif kind == "zero line" and rows and cols:
+        if draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1))] = [0] * cols
+        else:
+            j = draw(st.integers(0, cols - 1))
+            for row in m:
+                row[j] = 0
+    return IntMatrix(m, cols=cols)
 
 
 class TestIntMatrix:
@@ -148,6 +248,32 @@ class TestSmithNormalForm:
         )
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_up_to_8())
+    @example(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 4]]))  # chain repaired twice
+    @example(IntMatrix([[4, 6], [6, 9], [10, 15]]))  # rank 1 with a factor
+    def test_diagonal_matches_reference_kernel(self, a):
+        d, _, _ = check_snf(a)
+        new = [list(row) for row in a.entries]
+        _diagonalize(new, a.rows, a.cols)
+        old = [list(row) for row in a.entries]
+        reference_diagonalize(old, a.rows, a.cols)
+        assert d.entries == tuple(map(tuple, new))
+        assert d.diagonal() == tuple(old[i][i] for i in range(min(a.rows, a.cols)))
+
+    def test_transform_growth_at_n60(self):
+        # 12,889 bits with floor quotients and full rescans
+        rng = random.Random(60)
+        a = IntMatrix([[rng.randint(-6, 6) for _ in range(60)] for _ in range(60)])
+        d, u, v = smith_normal_form(a)
+        bits = max(abs(x).bit_length() for t in (u, v) for row in t.entries for x in row)
+        assert bits < 12889
+        product = 1
+        for x in d.diagonal():
+            product *= x
+        assert product == abs(determinant(a))
+
+
 class TestRelationMatrix:
     def test_torus_relator(self):
         m = relation_matrix(torus_presentation(2, 3))
@@ -183,6 +309,21 @@ class TestAbelianization:
     def test_trefoil_wirtinger(self):
         inv = abelianization(wirtinger_presentation(builtin_diagram("trefoil")))
         assert inv == AbelianInvariants(1, ())
+
+
+    def test_census_size_matrix_against_determinant(self):
+        # Bareiss elimination is an independent route to the torsion order
+        rng = random.Random(40)
+        a = IntMatrix([[rng.randint(-6, 6) for _ in range(40)] for _ in range(40)])
+        det = determinant(a)
+        assert det
+        p = Presentation(
+            Alphabet([f"g{j}" for j in range(40)]),
+            [Word([(j, x) for j, x in enumerate(row) if x]) for row in a.entries],
+        )
+        inv = abelianization(p)
+        assert inv.free_rank == 0
+        assert inv.group_order() == abs(det)
 
     def test_formatting(self):
         assert str(AbelianInvariants(0, ())) == "1"
