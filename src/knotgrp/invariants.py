@@ -16,7 +16,8 @@ Two invariant families are implemented, both exact:
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
   checks each relator once its generators are bound and fixes the first
   image up to conjugacy; the evaluation budget is still the full |T|^|X|.
-  ``_table_power`` serves the search and ``evaluate_word_in_quotient``.
+  The search and ``evaluate_word_in_quotient`` evaluate words compiled
+  to (position, ``_table_power`` row) programs with one fold, ``_value``.
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -348,6 +349,15 @@ def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
     return result
 
 
+def _value(prog: Sequence, value: Sequence[int] | Mapping[int, int], mul, identity: int) -> int:
+    """The product, in order, of the power rows of a compiled program, each
+    read at the element bound to its position in `value`."""
+    acc = identity
+    for pos, row in prog:
+        acc = mul[acc][row[value[pos]]]
+    return acc
+
+
 def evaluate_word_in_quotient(
     p: Presentation, w: Word, assignment: Mapping[int, int], table: FiniteGroupTable
 ) -> int:
@@ -359,10 +369,13 @@ def evaluate_word_in_quotient(
             raise InputError(
                 f"assignment for {gen.name!r} is not an element index (order {table.order})"
             )
-    acc = table.identity
-    for gid, e in w.syllables:
-        acc = table.mul[acc][_table_power(table, assignment[gid], e)]
-    return acc
+    for gid, _ in w.syllables:
+        if not p.alphabet.has_id(gid):
+            raise InputError(f"word uses generator id {gid} not in the presentation")
+    exponents = {e for _, e in w.syllables}
+    rows = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
+    prog = tuple((gid, rows[e]) for gid, e in w.syllables)
+    return _value(prog, assignment, table.mul, table.identity)
 
 
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -547,10 +560,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     value = [identity] * k
 
     def options(level: int):
-        acc = identity
-        for pos, pw in solves[level]:
-            acc = mul[acc][pw[value[pos]]]
-        return iter(step_roots[level][acc])
+        return iter(step_roots[level][_value(solves[level], value, mul, identity)])
 
     last = len(steps) - 1
     count, weight = 0, 1
@@ -565,10 +575,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
         if level == 0:
             weight = class_size[x]
         for prog in checks[level]:
-            acc = identity
-            for pos, pw in prog:
-                acc = mul[acc][pw[value[pos]]]
-            if acc != identity:
+            if _value(prog, value, mul, identity) != identity:
                 break
         else:
             if level == last:

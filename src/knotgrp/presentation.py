@@ -25,7 +25,6 @@ from .torus import AB, TorusParams
 from .words import (
     Alphabet,
     Word,
-    cyclic_key,
     cyclically_reduce,
     format_word,
     parse_word,
@@ -237,12 +236,11 @@ class _Facts:
     with exponent ±1), or None. ``gens`` are the generator ids that occur.
     ``invariant`` counts the occurrences of each generator once
     equal-generator ends are merged: every rotation of the relator or of
-    its inverse shares it. ``keys`` are the
-    :func:`~knotgrp.words.cyclic_key` of the relator and of its inverse,
-    computed when an invariant collision first needs them.
+    its inverse shares it, so only relators that share it are handed to
+    :func:`~knotgrp.words.rotation_conjugator`.
     """
 
-    __slots__ = ("candidate", "gens", "invariant", "keys")
+    __slots__ = ("candidate", "gens", "invariant")
 
     def __init__(self, r: Word):
         syl = r.syllables
@@ -255,35 +253,20 @@ class _Facts:
         if len(syl) > 1 and syl[0][0] == syl[-1][0]:
             counts[syl[0][0]] -= 1
         self.invariant = frozenset(counts.items())
-        self.keys = None
 
 
-def _keys(r: Word, facts: _Facts) -> tuple:
-    if facts.keys is None:
-        facts.keys = (cyclic_key(r), cyclic_key(r.inverse()))
-    return facts.keys
-
-
-def _earlier_rotation(
-    relators: list[Word], facts: list[_Facts], same: list[int], j: int
-) -> DerivationStep | None:
+def _earlier_rotation(relators: list[Word], same: list[int], j: int) -> DerivationStep | None:
     """(i, conjugator, sign) for the first relator i of `same`, r_i before
     r_i⁻¹, that ``rotation_conjugator`` rotates onto relator j, or None.
-
     `same` lists earlier relators that share j's invariant in increasing
-    order. A rotation needs equal keys, so keys are compared first; no
-    nontrivial word shares its inverse's key, so at most one sign of each
-    i gets that far.
-    """
+    order."""
     r = relators[j]
-    key = _keys(r, facts[j])[0]
     for i in same:
-        for sign, base_key in zip((1, -1), _keys(relators[i], facts[i])):
-            if base_key == key:
-                base = relators[i] if sign == 1 else relators[i].inverse()
-                conj = rotation_conjugator(base, r)
-                if conj is not None:
-                    return i, conj, sign
+        for sign in (1, -1):
+            base = relators[i] if sign == 1 else relators[i].inverse()
+            conj = rotation_conjugator(base, r)
+            if conj is not None:
+                return i, conj, sign
     return None
 
 
@@ -305,9 +288,9 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
     relators a substitution produced are cyclically reduced and described
     again, and an elimination substitutes only into the relators that
     contain its generator. A dict probe on the invariant lists the
-    earlier relators that may be rotations of a relator; cyclic keys are
-    computed only on such a collision, and ``rotation_conjugator``
-    confirms them in order. One Presentation is built at the end. Raises
+    earlier relators that may be rotations of a relator, and
+    ``rotation_conjugator`` tries each of them in order, r_i before r_i⁻¹.
+    One Presentation is built at the end. Raises
     BudgetError when a substitution would produce more than
     ``words.MAX_POWER_SYLLABLES`` syllables.
     """
@@ -338,7 +321,7 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
         j = 0
         while j < len(relators):
             same = earlier.setdefault(facts[j].invariant, [])
-            found = _earlier_rotation(relators, facts, same, j) if same else None
+            found = _earlier_rotation(relators, same, j) if same else None
             if found is None:
                 same.append(j)
                 j += 1
@@ -370,7 +353,8 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
 def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:
     """One deterministic line per move of a script for p. Only the alphabet
     is followed, by the ``extend``/``drop`` calls a replay makes; moves are
-    formatted, not validated (apply_tietze validates)."""
+    formatted, not validated (apply_tietze validates). A value that is no
+    Tietze move raises InputError."""
     lines = []
     alphabet = p.alphabet
     for move in script:
@@ -381,9 +365,12 @@ def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:
         elif isinstance(move, AddGenerator):
             lines.append(f"add generator {move.name} = {format_word(move.definition, alphabet)}")
             alphabet = alphabet.extend(move.name)
-        else:
+        elif isinstance(move, RemoveGenerator):
             lines.append(f"remove generator {move.name} using relator {move.relator_index}")
             alphabet = alphabet.drop(move.name)
+        else:
+            name = type(move).__name__
+            raise InputError(f"move {len(lines)} ({name}): unknown Tietze move {move!r}")
     return lines
 
 

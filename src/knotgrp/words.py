@@ -13,7 +13,7 @@ whitespace or ``*``, e.g. ``a^2 b^-3``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Tuple
 
 from .errors import BudgetError, InputError
 
@@ -302,13 +302,29 @@ def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
     return Word._from_reduced(core), Word._from_reduced(conj)
 
 
+def _cyclic_core(syl: Tuple[Syllable, ...]) -> Tuple[int, Tuple[Syllable, ...]]:
+    """(p, core): peel the p end pairs of reduced syllables that cancel,
+    then merge equal-generator ends into the last syllable.
+
+    Cyclically adjacent syllables of the core carry distinct generators,
+    so each of its rotations is reduced, and two words are conjugate
+    exactly when their cores are rotations of each other."""
+    n, p = len(syl), 0
+    while p < n - 1 - p and syl[p][0] == syl[-1 - p][0] and syl[p][1] == -syl[-1 - p][1]:
+        p += 1
+    core = syl[p : n - p]
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        core = core[1:-1] + ((core[0][0], core[0][1] + core[-1][1]),)
+    return p, core
+
+
 def rotation_conjugator(base: Word, target: Word) -> Word | None:
     """If target is a cyclic rotation of base, return y with y·base·y⁻¹ = target.
 
     Rotation k of base's n syllables is its last n - k syllables followed
     by its first k, freely reduced, with y the first k inverted; the
     smallest k wins. The ends merge when they carry the same generator,
-    so a b a rotates to b a^2:
+    so a b a rotates to b a^2, but a^2 b never reaches a b a:
 
     >>> aba, ba2 = Word([(0, 1), (1, 1), (0, 1)]), Word([(1, 1), (0, 2)])
     >>> rotation_conjugator(aba, ba2).syllables
@@ -316,28 +332,24 @@ def rotation_conjugator(base: Word, target: Word) -> Word | None:
     >>> rotation_conjugator(Word([(0, 1), (1, 1)]), Word([(0, 1), (1, -1)])) is None
     True
 
-    O(n): let p syllables cancel pairwise from both ends (the peel of
-    :func:`cyclically_reduce`). A rotation k <= p only peels, to
-    base[k:n-k]. Every rotation p < k < n - p crosses the same junction,
-    so each is a rotation of one cyclic core (its ends merged), and one
-    search of target in that core doubled finds the least. A rotation
-    k >= n - p repeats the peel of n - k.
+    O(n): let p syllables cancel pairwise from both ends (see
+    :func:`_cyclic_core`). A rotation k <= p only peels, to base[k:n-k].
+    Every rotation p < k < n - p crosses the same junction, so each is a
+    rotation of the one core, and one search of target in that core
+    doubled finds the least. A rotation k >= n - p repeats the peel of
+    n - k.
     """
     syl, want = base.syllables, target.syllables
-    n, p = len(syl), 0
-    while p < n - 1 - p and syl[p][0] == syl[-1 - p][0] and syl[p][1] == -syl[-1 - p][1]:
-        p += 1
+    n = len(syl)
+    p, core = _cyclic_core(syl)
     k, odd = divmod(n - len(want), 2)
     if not odd and 0 <= k <= p and syl[k : n - k] == want:
         return Word._from_reduced(syl[:k]).inverse()
-    core = syl[p : n - p]
-    if len(core) > 1 and core[0][0] == core[-1][0]:
-        core = core[1:-1] + ((core[0][0], core[0][1] + core[-1][1]),)
-        p += 1  # rotation p + 1 starts the merged core
     if len(core) != len(want):
         return None
     s = _find(want, core + core[:-1])
-    return None if s < 0 else Word._from_reduced(syl[: p + s]).inverse()
+    # the core starts at rotation n - p - len(core): p, or p + 1 when its ends merged
+    return None if s < 0 else Word._from_reduced(syl[: n - p - len(core) + s]).inverse()
 
 
 def _find(pattern: Tuple, text: Tuple) -> int:
@@ -357,54 +369,6 @@ def _find(pattern: Tuple, text: Tuple) -> int:
                 return j - 2 * m
         fail[j] = i
     return -1
-
-
-def _least_rotation(s: Sequence) -> int:
-    """Start of the lexicographically least rotation of s, in O(len(s)).
-
-    Booth's algorithm (K. S. Booth, *Lexicographically least circular
-    substrings*, IPL 1980): a KMP failure function over s·s.
-    """
-    n = len(s)
-    s = tuple(s) * 2
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # here i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k % n if n else 0
-
-
-def cyclic_key(w: Word) -> Tuple[Syllable, ...]:
-    """A canonical key of w's conjugacy class: equal keys iff conjugate.
-
-    The cyclic core's equal-generator ends merge into one syllable, then
-    Booth's algorithm picks the least syllable rotation, so a b a and
-    a^2 b share the key of b a^2. A shared key is necessary for
-    :func:`rotation_conjugator` to find a rotation but not sufficient:
-    it rotates by whole syllables of its base, so a^2 b never reaches
-    a b a.
-
-    >>> cyclic_key(Word([(0, 1), (1, 1), (0, 1)])) == cyclic_key(Word([(0, 2), (1, 1)]))
-    True
-    >>> cyclic_key(Word([(0, 1), (1, 1), (0, 1)]))
-    ((0, 2), (1, 1))
-    """
-    syl = cyclically_reduce(w)[0].syllables
-    if len(syl) > 1 and syl[0][0] == syl[-1][0]:
-        syl = syl[1:-1] + ((syl[0][0], syl[0][1] + syl[-1][1]),)
-    k = _least_rotation(syl)
-    return syl[k:] + syl[:k]
 
 
 def substitute(w: Word, gid: int, replacement: Word) -> Word:
@@ -436,14 +400,21 @@ def substitute(w: Word, gid: int, replacement: Word) -> Word:
 
 
 def cyclically_equal(u: Word, v: Word, up_to_inversion: bool = False) -> bool:
-    """True if u is conjugate to v (or, with up_to_inversion, to v^-1).
+    """True if u is conjugate to v (or, with up_to_inversion, to v^-1): the
+    cyclic cores of u and v have equal length and one occurs in the other
+    doubled.
 
     >>> aba, a2b = Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)])
     >>> cyclically_equal(aba, a2b), cyclically_equal(a2b, aba)
     (True, True)
     """
-    key = cyclic_key(v)
-    return cyclic_key(u) == key or up_to_inversion and cyclic_key(u.inverse()) == key
+    core = _cyclic_core(v.syllables)[1]
+
+    def rotates(w: Word) -> bool:
+        c = _cyclic_core(w.syllables)[1]
+        return len(c) == len(core) and (c == core or _find(c, core + core[:-1]) >= 0)
+
+    return rotates(u) or up_to_inversion and rotates(u.inverse())
 
 
 def _parse_int(digits: str, what: str) -> int:

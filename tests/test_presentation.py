@@ -507,6 +507,11 @@ class TestDescribeScript:
         with pytest.raises(InputError, match="'a' already in alphabet"):
             describe_script(p, [AddGenerator("a", Word([(1, 1)]))])
 
+    def test_non_move_is_refused(self):
+        p = torus_presentation(2, 3)
+        with pytest.raises(InputError, match="move 0 \\(str\\): unknown Tietze move 'junk'"):
+            describe_script(p, ["junk"])
+
     def test_nothing_is_replayed(self, monkeypatch):
         p, user_script = drop_then_add_script()
         q = wirtinger_presentation(closed_2_braid(51))
@@ -526,6 +531,19 @@ class TestKeyedDuplicateRemoval:
     @example(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a\nrel: a b a\nrel: b^-1 a^-2"))
     @example(parse_presentation("gens: a b\nrel: a b a b a b\nrel: b a b a b a\nrel: a^-1 b^-1 a^-1 b^-1 a^-1 b^-1"))
     @example(parse_presentation("gens: a b c\nrel: a^3\nrel: a^-3\nrel: b^2\nrel: a^3\nrel: c b c"))
+    # one invariant, shared by rotations, an inverse and a non-rotation
+    @example(
+        parse_presentation(
+            "gens: a b\nrel: a b^2 a^3 b^5\nrel: a^3 b^2 a b^5\nrel: b^5 a b^2 a^3\n"
+            "rel: b^-5 a^-3 b^-2 a^-1"
+        )
+    )
+    @example(
+        parse_presentation(
+            "gens: a b\nrel: a^3 b^2 a b^5\nrel: a^-3 b^-2 a^-1 b^-5\nrel: a b^5 a^3 b^2\n"
+            "rel: b^2 a^3 b^5 a\nrel: a b^2 a^3 b^5"
+        )
+    )
     def test_matches_pair_scan_reference(self, p):
         assert auto_simplify(p) == reference_simplify(p)
 
@@ -542,7 +560,7 @@ class TestKeyedDuplicateRemoval:
         assert script[0] == RemoveRelation(1, ((0, Word([(1, -1), (0, -1)]), 1),))
         _, script = auto_simplify(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a"))
         assert isinstance(script[0], RemoveGenerator)
-        # both earlier relators share the key of the last; the first is no rotation onto it
+        # both earlier relators share the invariant of the last; the first is no rotation onto it
         _, script = auto_simplify(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b a\nrel: a b a"))
         assert script[0] == RemoveRelation(2, ((1, Word.identity(), 1),))
 
@@ -558,8 +576,8 @@ class TestKeyedDuplicateRemoval:
 
     def test_work_done_on_closed_2_braid(self, monkeypatch):
         # counts, not timings: only relators holding the generator are
-        # substituted into, and keys are computed on invariant collisions only
-        calls = {"substitute": 0, "unchanged": 0, "cyclic_key": 0}
+        # substituted into, and rotations are searched on invariant collisions only
+        calls = {"substitute": 0, "unchanged": 0, "rotation_conjugator": 0}
 
         def counting_substitute(w, gid, replacement):
             calls["substitute"] += 1
@@ -567,15 +585,15 @@ class TestKeyedDuplicateRemoval:
             calls["unchanged"] += out == w
             return out
 
-        def counting_key(w):
-            calls["cyclic_key"] += 1
-            return words_module.cyclic_key(w)
+        def counting_rotation(base, target):
+            calls["rotation_conjugator"] += 1
+            return rotation_conjugator(base, target)
 
         monkeypatch.setattr(presentation_module, "substitute", counting_substitute)
-        monkeypatch.setattr(presentation_module, "cyclic_key", counting_key)
+        monkeypatch.setattr(presentation_module, "rotation_conjugator", counting_rotation)
         auto_simplify(wirtinger_presentation(closed_2_braid(51)))
         assert calls["substitute"] == 98 and calls["unchanged"] == 0
-        assert calls["cyclic_key"] <= 10
+        assert calls["rotation_conjugator"] <= 10
 
     def test_long_relators_take_one_move(self):
         p = parse_presentation("gens: a b c\nrel: a b c^-1\nrel: c^3000 b a^5000\nrel: a^2 b^3")
@@ -656,6 +674,11 @@ class TestEvaluate:
         p = torus_presentation(2, 3)
         with pytest.raises(InputError, match="missing"):
             evaluate_word_in_quotient(p, Word([(0, 1)]), {0: 1}, builtin_table("Z5"))
+
+    def test_word_outside_the_presentation(self):
+        p = torus_presentation(2, 3)
+        with pytest.raises(InputError, match="generator id 7"):
+            evaluate_word_in_quotient(p, Word([(7, 1)]), {0: 1, 1: 0}, builtin_table("S3"))
 
     def test_assignment_out_of_range(self):
         p = torus_presentation(2, 3)

@@ -10,7 +10,6 @@ from knotgrp.errors import BudgetError, InputError
 from knotgrp.words import (
     Alphabet,
     Word,
-    cyclic_key,
     cyclically_equal,
     cyclically_reduce,
     format_word,
@@ -291,29 +290,36 @@ def letter_cycle(w):
 
 
 class TestCyclicKey:
+    """cyclically_equal against letter_cycle, a conjugacy key built letter
+    by letter."""
+
     @given(words, words)
     @example(Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)]))
     @example(Word([(0, 1), (1, 1)] * 3), Word([(1, 1), (0, 1)] * 3))
     @example(Word([(0, 3)]), Word([(0, -3)]))
     def test_equal_keys_iff_conjugate(self, u, v):
-        assert (cyclic_key(u) == cyclic_key(v)) == (letter_cycle(u) == letter_cycle(v))
+        assert cyclically_equal(u, v) == (letter_cycle(u) == letter_cycle(v))
+        either = letter_cycle(u) in (letter_cycle(v), letter_cycle(v.inverse()))
+        assert cyclically_equal(u, v, up_to_inversion=True) == either
 
     @given(words, words)
     def test_invariant_under_conjugation_and_rotation(self, w, y):
         syl = w.syllables
-        assert cyclic_key(y * w * y.inverse()) == cyclic_key(w)
+        assert cyclically_equal(y * w * y.inverse(), w)
         for k in range(len(syl)):
-            assert cyclic_key(Word(syl[k:] + syl[:k])) == cyclic_key(w)
+            assert cyclically_equal(Word(syl[k:] + syl[:k]), w)
 
     def test_shared_key_does_not_imply_a_rotation(self):
         aba, a2b = Word([(0, 1), (1, 1), (0, 1)]), Word([(0, 2), (1, 1)])
-        assert cyclic_key(aba) == cyclic_key(a2b) == ((0, 2), (1, 1))
+        assert letter_cycle(aba) == letter_cycle(a2b) and cyclically_equal(aba, a2b)
         assert rotation_conjugator(aba, a2b) is not None
         assert rotation_conjugator(a2b, aba) is None
 
     def test_periodic_word(self):
         ab3 = Word([(0, 1), (1, -1)] * 3)
-        assert cyclic_key(Word(ab3.syllables[1:] + ab3.syllables[:1])) == ab3.syllables
+        assert cyclically_equal(Word(ab3.syllables[1:] + ab3.syllables[:1]), ab3)
+        assert not cyclically_equal(Word([(0, 1), (1, -1)] * 2), ab3)
+        assert not cyclically_equal(Word([(0, 1), (1, 1)] * 3), ab3, up_to_inversion=True)
 
 
 class TestSubstitute:
