@@ -180,10 +180,10 @@ def _remove_relation(relators: list[Word], move: RemoveRelation) -> None:
         raise InputError("RemoveRelation: relator is not derived from the remaining ones")
 
 
-def _apply_move(p: Presentation, move: TietzeMove) -> Presentation:
-    """p after one validated move. Relators of p were checked when p was
-    built, so only those the move creates are checked here."""
-    alphabet, relators = p.alphabet, list(p.relators)
+def _apply_move(alphabet: Alphabet, relators: list[Word], move: TietzeMove) -> Alphabet:
+    """Validate one move, apply it to relators in place and return the
+    alphabet after it. Relators already in the list were checked before,
+    so only those the move creates are checked here."""
     if isinstance(move, AddRelation):
         _add_relation(relators, move)
         _check_ids(move.consequence, alphabet)
@@ -200,12 +200,12 @@ def _apply_move(p: Presentation, move: TietzeMove) -> Presentation:
         if not 0 <= move.relator_index < len(relators):
             raise InputError(f"RemoveGenerator: relator index {move.relator_index} out of range")
         solution = _defining_solution(relators.pop(move.relator_index), gid)
-        relators = [substitute(r, gid, solution) for r in relators]
-        relators = [r for r in relators if not r.is_identity()]
+        substituted = [substitute(r, gid, solution) for r in relators]
+        relators[:] = [r for r in substituted if r.syllables]
         alphabet = alphabet.drop(move.name)
     else:
         raise InputError(f"unknown Tietze move {move!r}")
-    return Presentation._trusted(alphabet, tuple(relators))
+    return alphabet
 
 
 def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
@@ -215,15 +215,16 @@ def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
     an inapplicable move raises InputError naming its position. Each
     move's derivation is checked in full, and the relators a move
     creates are checked against the alphabet; the others were checked
-    before.
+    before. The moves act in place on one copy of p's relators, so p is
+    left as it was, and one Presentation is built after the last move.
     """
-    current = p
+    alphabet, relators = p.alphabet, list(p.relators)
     for i, move in enumerate(script):
         try:
-            current = _apply_move(current, move)
+            alphabet = _apply_move(alphabet, relators, move)
         except InputError as exc:
             raise InputError(f"move {i} ({type(move).__name__}): {exc}") from None
-    return current
+    return Presentation._trusted(alphabet, tuple(relators))
 
 
 # --- auto_simplify ----------------------------------------------------------
@@ -237,10 +238,11 @@ class _Facts:
     ``invariant`` counts the occurrences of each generator once
     equal-generator ends are merged: every rotation of the relator or of
     its inverse shares it, so only relators that share it are handed to
-    :func:`~knotgrp.words.rotation_conjugator`.
+    :func:`~knotgrp.words.rotation_conjugator`. ``inverse`` is the
+    relator's inverse, built by :func:`_earlier_rotation` on first use.
     """
 
-    __slots__ = ("candidate", "gens", "invariant")
+    __slots__ = ("candidate", "gens", "invariant", "inverse")
 
     def __init__(self, r: Word):
         syl = r.syllables
@@ -253,20 +255,27 @@ class _Facts:
         if len(syl) > 1 and syl[0][0] == syl[-1][0]:
             counts[syl[0][0]] -= 1
         self.invariant = frozenset(counts.items())
+        self.inverse = None
 
 
-def _earlier_rotation(relators: list[Word], same: list[int], j: int) -> DerivationStep | None:
+def _earlier_rotation(
+    relators: list[Word], facts: list[_Facts], same: list[int], j: int
+) -> DerivationStep | None:
     """(i, conjugator, sign) for the first relator i of `same`, r_i before
     r_i⁻¹, that ``rotation_conjugator`` rotates onto relator j, or None.
     `same` lists earlier relators that share j's invariant in increasing
-    order."""
+    order; r_i⁻¹ is kept in facts[i] once built."""
     r = relators[j]
     for i in same:
-        for sign in (1, -1):
-            base = relators[i] if sign == 1 else relators[i].inverse()
-            conj = rotation_conjugator(base, r)
-            if conj is not None:
-                return i, conj, sign
+        conj = rotation_conjugator(relators[i], r)
+        if conj is not None:
+            return i, conj, 1
+        f = facts[i]
+        if f.inverse is None:
+            f.inverse = relators[i].inverse()
+        conj = rotation_conjugator(f.inverse, r)
+        if conj is not None:
+            return i, conj, -1
     return None
 
 
@@ -321,7 +330,7 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
         j = 0
         while j < len(relators):
             same = earlier.setdefault(facts[j].invariant, [])
-            found = _earlier_rotation(relators, same, j) if same else None
+            found = _earlier_rotation(relators, facts, same, j) if same else None
             if found is None:
                 same.append(j)
                 j += 1

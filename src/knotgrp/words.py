@@ -374,28 +374,42 @@ def _find(pattern: Tuple, text: Tuple) -> int:
 def substitute(w: Word, gid: int, replacement: Word) -> Word:
     """Replace every occurrence of gid in w by `replacement`, reduced.
 
-    Returns w itself when gid does not occur in it. Raises BudgetError,
-    before allocating, when the result would have more than
-    MAX_POWER_SYLLABLES syllables before reduction.
+    Returns w itself when gid does not occur in it. An occurrence g^±1
+    appends the |replacement| syllables of replacement^±1, and the size
+    check counts exactly those; an occurrence g^e with |e| >= 2 counts
+    the 2|y| + |c^e| syllables of y·c^e·y⁻¹, for replacement = y·c·y⁻¹
+    with c cyclically reduced (see Word.__pow__). Raises
+    BudgetError, before allocating, when that raw count exceeds
+    MAX_POWER_SYLLABLES. One free reduction of the raw syllables gives
+    the result.
     """
     syl = w.syllables
     exps = [e for g, e in syl if g == gid]
     if not exps:
         return w
-    core, y = cyclically_reduce(replacement)
-    c = len(core)
-    size = len(syl) - len(exps) + sum(2 * len(y) + (1 if c == 1 else c * abs(e)) for e in exps)
+    rep = replacement.syllables
+    units = exps.count(1) + exps.count(-1)
+    size = len(syl) - len(exps) + units * len(rep)
+    if units < len(exps):
+        core, y = cyclically_reduce(replacement)
+        c = len(core)
+        size += sum(2 * len(y) + (1 if c == 1 else c * abs(e)) for e in exps if abs(e) > 1)
     if size > MAX_POWER_SYLLABLES:
         raise BudgetError(
             f"substitution would produce {size} syllables, "
             f"exceeding the budget of {MAX_POWER_SYLLABLES} syllables"
         )
+    inv = replacement.inverse().syllables
     raw: list[Syllable] = []
     for g, e in syl:
-        if g == gid:
-            raw.extend((replacement ** e).syllables)
-        else:
+        if g != gid:
             raw.append((g, e))
+        elif e == 1:
+            raw += rep
+        elif e == -1:
+            raw += inv
+        else:
+            raw += (replacement ** e).syllables
     return Word(raw)
 
 

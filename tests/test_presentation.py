@@ -168,6 +168,26 @@ class TestTietzeMoves:
                 apply_tietze(p, script)
             assert str(raised.value) == message
 
+    def test_input_is_left_unchanged(self):
+        p = parse_presentation("gens: a b c\nrel: c = a b\nrel: c^2 a\nrel: a b a")
+        before = (p.alphabet.names, p.relators, words_of(p))
+        q = apply_tietze(p, [RemoveGenerator("c", 0)])
+        assert words_of(q) == [((0, 1), (1, 1), (0, 1), (1, 1), (0, 1)), ((0, 1), (1, 1), (0, 1))]
+        failing = [
+            ([RemoveGenerator("c", 0), RemoveRelation(5, ())],
+             "move 1 (RemoveRelation): RemoveRelation: index 5 out of range"),
+            # the relator is popped before its derivation fails
+            ([RemoveGenerator("c", 0), RemoveRelation(0, ())],
+             "move 1 (RemoveRelation): RemoveRelation: relator is not derived from the remaining ones"),
+            ([AddGenerator("d", Word([(0, 1)])), RemoveGenerator("c", 0), RemoveGenerator("d", 7)],
+             "move 2 (RemoveGenerator): RemoveGenerator: relator index 7 out of range"),
+        ]
+        for script, message in failing:
+            with pytest.raises(InputError) as raised:
+                apply_tietze(p, script)
+            assert str(raised.value) == message
+        assert (p.alphabet.names, p.relators, words_of(p)) == before
+
     def test_substitute_handles_negative_exponents(self):
         # a^-2 b with a -> bc: (bc)^-2 b = c^-1 b^-1 c^-1 b^-1 b = c^-1 b^-1 c^-1
         w = Word([(0, -2), (1, 1)])
@@ -329,7 +349,7 @@ def reference_simplify(p):
 
     def apply(move):
         nonlocal p
-        p = _apply_move(p, move)
+        p = apply_tietze(p, [move])
         script.append(move)
         return True
 
@@ -434,22 +454,20 @@ def diagram_presentations(draw):
 
 
 def replayed_lines(p, script):
-    """describe_script by replay: each move is applied to learn the
-    alphabet that formats the next one."""
+    """describe_script by replay: each move is applied in place to learn
+    the alphabet that formats the next one."""
     lines = []
-    current = p
+    alphabet, relators = p.alphabet, list(p.relators)
     for move in script:
         if isinstance(move, AddRelation):
-            lines.append(f"add relator: {format_word(move.consequence, current.alphabet)}")
+            lines.append(f"add relator: {format_word(move.consequence, alphabet)}")
         elif isinstance(move, RemoveRelation):
             lines.append(f"remove relator {move.index}")
         elif isinstance(move, AddGenerator):
-            lines.append(
-                f"add generator {move.name} = {format_word(move.definition, current.alphabet)}"
-            )
+            lines.append(f"add generator {move.name} = {format_word(move.definition, alphabet)}")
         else:
             lines.append(f"remove generator {move.name} using relator {move.relator_index}")
-        current = _apply_move(current, move)
+        alphabet = _apply_move(alphabet, relators, move)
     return lines
 
 
@@ -594,6 +612,29 @@ class TestKeyedDuplicateRemoval:
         auto_simplify(wirtinger_presentation(closed_2_braid(51)))
         assert calls["substitute"] == 98 and calls["unchanged"] == 0
         assert calls["rotation_conjugator"] <= 10
+
+    def test_each_relator_is_inverted_once(self, monkeypatch):
+        # four relators share the invariant {a: 2, b: 2} and none rotates
+        # onto another; eliminating d, c0, ..., c3 takes a round each
+        colliding = ["a^2 b^2 a^3 b^3", "a^2 b^3 a^3 b^2", "a^3 b^2 a^2 b^4", "a^4 b^2 a^2 b^3"]
+        inverted = []
+        inverse = Word.inverse
+
+        def counting_inverse(w):
+            inverted.append(w.syllables)
+            return inverse(w)
+
+        chain = "gens: a b d c0 c1 c2 c3 c4\n" + "".join(f"rel: c{i}^-1 d\n" for i in range(5))
+        for extra, expected in ((colliding, 3), (["a^2", "b^3", "a^2 b^2"], 0)):
+            p = parse_presentation(chain + "".join(f"rel: {r}\n" for r in extra))
+            watched = {r.syllables for r in p.relators[5:]}
+            inverted.clear()
+            monkeypatch.setattr(Word, "inverse", counting_inverse)
+            q, script = auto_simplify(p)
+            monkeypatch.undo()
+            assert len(script) == 5 and q.relators == p.relators[5:]
+            # r_i^-1 is built once for each relator that a later one probes
+            assert sum(syl in watched for syl in inverted) == expected
 
     def test_long_relators_take_one_move(self):
         p = parse_presentation("gens: a b c\nrel: a b c^-1\nrel: c^3000 b a^5000\nrel: a^2 b^3")

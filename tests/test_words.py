@@ -337,6 +337,32 @@ class TestSubstitute:
             [(1, 1), (2, 10**9), (1, -1)]
         )
 
+    def test_budget_counts_the_raw_syllables(self, monkeypatch):
+        # a b a^-2 cyclically reduces by a partial peel (y = a, core b a^-1),
+        # yet an occurrence x^±1 appends exactly its 3 syllables
+        monkeypatch.setattr(words_module, "MAX_POWER_SYLLABLES", 3)
+        aba2 = Word([(1, 1), (2, 1), (1, -2)])
+        assert substitute(Word([(0, 1)]), 0, aba2) == aba2
+        assert substitute(Word([(0, -1)]), 0, aba2) == aba2.inverse()
+        with pytest.raises(BudgetError, match="would produce 4 syllables"):
+            substitute(Word([(0, 1), (3, 1)]), 0, aba2)
+
+    @given(words, st.integers(min_value=0, max_value=4), words)
+    @example(Word([(0, 1), (1, 2)]), 0, Word([(1, 1), (2, 1), (1, -2)]))  # partial peel
+    @example(Word([(0, -3), (1, 1), (0, 2)]), 0, Word([(1, 1), (2, 1), (1, -2)]))
+    @example(Word([(1, 1), (0, -1), (1, -1)]), 0, Word([(1, 1), (2, 1), (1, -1)]))
+    @example(Word([(1, 5)]), 0, Word([(2, 1)]))  # absent generator
+    def test_matches_a_power_per_occurrence(self, w, gid, replacement):
+        naive = Word(
+            s
+            for g, e in w.syllables
+            for s in ((replacement**e).syllables if g == gid else ((g, e),))
+        )
+        out = substitute(w, gid, replacement)
+        assert out == naive
+        if all(g != gid for g, _ in w.syllables):
+            assert out is w
+
 
 class TestParserRobustness:
     @given(st.text(max_size=40))
