@@ -11,13 +11,15 @@ Two invariant families are implemented, both exact:
   ends the sweeps and keeps entries and transforms small. Transforms
   exist only when `smith_normal_form` borders the matrix with
   identities for the kernel to carry along;
-* homomorphism counts into small finite groups given by multiplication
+* homomorphism counts into finite groups given by multiplication
   tables, by an exact search that binds each generator to the roots of
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
   checks each relator once its generators are bound and fixes the first
   image up to conjugacy; the evaluation budget is still the full |T|^|X|.
   The search and ``evaluate_word_in_quotient`` evaluate words compiled
   to (position, ``_table_power`` row) programs with one fold, ``_value``.
+  ``FiniteGroupTable(name, mul)`` refuses any ``mul`` that is not a group
+  with identity 0, checking associativity exactly (Light's test).
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -27,10 +29,10 @@ only, and reports say so.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterable, Mapping, Sequence, Tuple
 
 from .errors import BudgetError, InputError
 from .presentation import Presentation
@@ -293,46 +295,46 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
+    """A finite group as its multiplication table on 0..order-1, 0 the
+    identity. Any `mul` that is not a group table (nonempty and square,
+    int entries in range, 0 an identity, two-sided inverses, associative)
+    is refused with InputError; `order` and `inv` are read off `mul`."""
+
     name: str
-    order: int
     mul: Tuple[Tuple[int, ...], ...]
-    inv: Tuple[int, ...]
-    identity: int = 0
+    order: int = field(init=False)
+    inv: Tuple[int, ...] = field(init=False)
+    identity: ClassVar[int] = 0
 
-    @classmethod
-    def from_mul(cls, name: str, mul: Sequence[Sequence[int]]) -> "FiniteGroupTable":
-        order = len(mul)
-        mul = tuple(tuple(row) for row in mul)
-        if any(len(row) != order for row in mul):
-            raise InputError(f"{name}: multiplication table is not square")
-        for i in range(order):
-            if mul[0][i] != i or mul[i][0] != i:
-                raise InputError(f"{name}: element 0 is not an identity")
-        inv = [None] * order
-        for i in range(order):
-            for j in range(order):
-                if mul[i][j] == 0 and mul[j][i] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise InputError(f"{name}: element {i} has no inverse")
-        table = cls(name, order, mul, tuple(inv))
-        table._check_associativity()
-        return table
-
-    def _check_associativity(self) -> None:
-        # exhaustive up to order 24; a fixed pseudorandom sample beyond
-        n = self.order
-        if n <= 24:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000)
-            )
-        for x, y, z in triples:
-            if self.mul[self.mul[x][y]][z] != self.mul[x][self.mul[y][z]]:
-                raise InputError(f"{self.name}: multiplication is not associative")
+    def __post_init__(self):
+        try:
+            mul = tuple(tuple(map(operator.index, row)) for row in self.mul)
+        except TypeError:
+            raise InputError(f"{self.name}: multiplication table must be rows of ints") from None
+        n = len(mul)
+        if any(len(row) != n for row in mul) or not n:
+            raise InputError(f"{self.name}: multiplication table is empty or not square")
+        if min(map(min, mul)) < 0 or max(map(max, mul)) >= n:
+            raise InputError(f"{self.name}: multiplication table entries must lie in 0..{n - 1}")
+        if mul[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(mul)):
+            raise InputError(f"{self.name}: element 0 is not an identity")
+        inv = [next((j for j in range(n) if mul[i][j] == mul[j][i] == 0), None) for i in range(n)]
+        if None in inv:
+            raise InputError(f"{self.name}: element {inv.index(None)} has no inverse")
+        # Light's test: the y with (xy)z = x(yz) for all x, z include 0 and
+        # are closed under products, so only a y that no product of those
+        # checked before reaches needs checking: at most log2(order) in a group.
+        checked, reached = [], {0}
+        for y in range(n):
+            if y not in reached:
+                if any(mul[mul[x][y]] != tuple(map(mul[x].__getitem__, mul[y])) for x in range(n)):
+                    raise InputError(f"{self.name}: multiplication is not associative")
+                checked.append(y)
+                while new := {mul[r][c] for r in reached for c in checked} - reached:
+                    reached |= new
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "inv", tuple(inv))
 
 
 def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
@@ -340,7 +342,7 @@ def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
     if e < 0:
         x = table.inv[x]
         e = -e
-    result = table.identity
+    result = 0
     while e:
         if e & 1:
             result = table.mul[result][x]
@@ -349,10 +351,10 @@ def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
     return result
 
 
-def _value(prog: Sequence, value: Sequence[int] | Mapping[int, int], mul, identity: int) -> int:
+def _value(prog: Sequence, value: Sequence[int] | Mapping[int, int], mul) -> int:
     """The product, in order, of the power rows of a compiled program, each
     read at the element bound to its position in `value`."""
-    acc = identity
+    acc = 0
     for pos, row in prog:
         acc = mul[acc][row[value[pos]]]
     return acc
@@ -365,7 +367,7 @@ def evaluate_word_in_quotient(
     for gen in p.alphabet:
         if gen.id not in assignment:
             raise InputError(f"assignment missing generator {gen.name!r}")
-        if not 0 <= assignment[gen.id] < table.order:
+        if not isinstance(x := assignment[gen.id], int) or not 0 <= x < table.order:
             raise InputError(
                 f"assignment for {gen.name!r} is not an element index (order {table.order})"
             )
@@ -375,7 +377,7 @@ def evaluate_word_in_quotient(
     exponents = {e for _, e in w.syllables}
     rows = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
     prog = tuple((gid, rows[e]) for gid, e in w.syllables)
-    return _value(prog, assignment, table.mul, table.identity)
+    return _value(prog, assignment, table.mul)
 
 
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -386,7 +388,7 @@ def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
 def _table_from_elements(name: str, elements: Sequence[Tuple[int, ...]]) -> FiniteGroupTable:
     index = {e: k for k, e in enumerate(elements)}
     mul = [[index[_compose(x, y)] for y in elements] for x in elements]
-    return FiniteGroupTable.from_mul(name, mul)
+    return FiniteGroupTable(name, mul)
 
 
 def _is_even(perm: Tuple[int, ...]) -> bool:
@@ -394,11 +396,6 @@ def _is_even(perm: Tuple[int, ...]) -> bool:
         1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
     )
     return inversions % 2 == 0
-
-
-def _cyclic_table(k: int) -> FiniteGroupTable:
-    mul = [[(i + j) % k for j in range(k)] for i in range(k)]
-    return FiniteGroupTable.from_mul(f"Z{k}", mul)
 
 
 def _symmetric_table(k: int) -> FiniteGroupTable:
@@ -441,7 +438,8 @@ def builtin_table(name: str) -> FiniteGroupTable:
 def _build_table(name: str) -> FiniteGroupTable:
     m = re.fullmatch(r"Z([2-9]|1[0-2])", name)
     if m:
-        return _cyclic_table(int(m.group(1)))
+        k = int(m.group(1))
+        return FiniteGroupTable(name, [[(i + j) % k for j in range(k)] for i in range(k)])
     if name in ("S3", "S4", "S5"):
         return _symmetric_table(int(name[1]))
     if name in ("A4", "A5"):
@@ -541,7 +539,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     """
     if not steps:
         return 1
-    mul, identity = table.mul, table.identity
+    mul = table.mul
     roots = {step.exponent: [[] for _ in range(table.order)] for step in steps}
     exponents = roots.keys() | {e for s in steps for prog in (s.solve,) + s.checks for _, e in prog}
     powers = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
@@ -557,10 +555,10 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     step_roots = [roots[step.exponent] for step in steps]
     checks = [tuple(map(compiled, step.checks)) for step in steps]
     class_size = _conjugacy_classes(table)
-    value = [identity] * k
+    value = [0] * k
 
     def options(level: int):
-        return iter(step_roots[level][_value(solves[level], value, mul, identity)])
+        return iter(step_roots[level][_value(solves[level], value, mul)])
 
     last = len(steps) - 1
     count, weight = 0, 1
@@ -575,7 +573,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
         if level == 0:
             weight = class_size[x]
         for prog in checks[level]:
-            if _value(prog, value, mul, identity) != identity:
+            if _value(prog, value, mul):
                 break
         else:
             if level == last:
@@ -594,6 +592,8 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
     generator in no relator contributes a factor |T|. Raises BudgetError
     before starting if the |T|^|X| assignments exceed max_evals.
     """
+    if not isinstance(max_evals, int):
+        raise InputError(f"max_evals must be an int, got {max_evals!r}")
     k = len(p.alphabet)
     order = table.order
     total = order**k

@@ -1,6 +1,12 @@
+import contextlib
 import hashlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import example, given, settings, strategies as st
 
 from knotgrp import words
 from knotgrp.cli import run
@@ -258,6 +264,135 @@ class TestArgErrors:
     def test_non_integer(self, capsys):
         code, out, err = invoke(capsys, "torus", "two", "3")
         assert code == 1 and out == ""
+
+
+# Fuzzed invocations: each value is well formed three times in four, else
+# a near miss, a long digit run (past the 4,300-digit int() limit or just
+# under it) or stray bytes. FILE in argv stands for the fuzzed file.
+FILE = "@input"
+_digits = st.integers(min_value=1, max_value=4400).map(lambda k: "9" * k)
+
+
+def _mostly(valid, *faults):
+    fault = st.one_of(*faults)
+    return st.integers(min_value=0, max_value=3).flatmap(lambda k: valid if k else fault)
+
+
+def _words_over(letters):
+    syllables = st.builds(
+        "{}^{}".format, st.sampled_from(letters), st.integers(min_value=-4, max_value=4)
+    )
+    junk = st.sampled_from(["^", "^-", "a^", "·", "(", "x", "a1", "b^"])
+    return _mostly(
+        st.lists(syllables, max_size=6).map(" ".join),
+        st.builds("a^{} b".format, _digits),
+        st.lists(junk, min_size=1, max_size=4).map(" ".join),
+    )
+
+
+_numbers = _mostly(
+    st.integers(min_value=1, max_value=9).map(str),
+    st.integers(min_value=-40, max_value=40).map(str),
+    _digits,
+    st.sampled_from(["", "-", "0x10", "1e3", "3.0", "+7", " 2", "٣"]),
+)
+_ab_words = _words_over("ab")
+_presentations = st.builds(
+    lambda gens, rels: f"gens: {gens}" + "".join(f"\nrel: {r}" for r in rels),
+    _mostly(st.just("a b c"), st.sampled_from(["", "a", "a a", "a^2", "1"])),
+    st.lists(_words_over("abc"), max_size=3),
+)
+_crossings = st.builds(
+    "crossing over={} in={} out={} sign={}".format,
+    *[st.integers(min_value=0, max_value=4)] * 3,
+    st.sampled_from(["+", "-", "0"]),
+)
+_diagrams = st.one_of(
+    st.just(TREFOIL_DIAGRAM),
+    st.builds(
+        lambda n, xs: "\n".join([f"arcs {n}"] + xs), _numbers, st.lists(_crossings, max_size=4)
+    ),
+)
+_junk_files = st.one_of(
+    st.lists(
+        st.one_of(st.sampled_from(["gens:", "rel:", "arcs", "crossing", "=", "\n", "#"]), _digits),
+        max_size=12,
+    ).map(" ".join).map(str.encode),
+    st.sampled_from([b"", b"gens: a\xff\n", b"\x00", b"\xfe\xff"]),
+)
+_sources = _mostly(
+    st.just(FILE), st.sampled_from(["builtin:trefoil", "builtin:granny", "/nonexistent/x", "."])
+)
+_targets = _mostly(
+    st.sampled_from(["S3", "Z5", "A4", "D4", "S5", "A5"]), st.sampled_from(["Z1", "Q8", "s3", ""])
+)
+_angles = _mostly(
+    st.sampled_from(["0.5", "1.5", "1.0"]),
+    st.sampled_from(["0", "1.5707963267948966", "nan", "-1", "x"]),
+)
+# grids up to 24 keep sampling cheap; five digits or more is past the
+# sample budget and refused before any sampling
+_grids = _mostly(
+    st.integers(min_value=2, max_value=24).map(str),
+    st.integers(min_value=-2, max_value=1).map(str),
+    _digits.filter(lambda d: len(d) > 4),
+)
+_ARGS = {
+    "torus": [_numbers, _numbers],
+    "wirtinger": [_sources],
+    "simplify": [_sources],
+    "abelian": [_sources],
+    "homcount": [_sources, st.just("--target"), _targets],
+    "profile": [
+        _sources, st.just("--targets"), st.lists(_targets, min_size=1, max_size=3).map(",".join)
+    ],
+    "nf": [_numbers, _numbers, _ab_words],
+    "eq": [_numbers, _numbers, _ab_words, _ab_words],
+    "fporder": [_numbers, _numbers, _ab_words],
+    "retraction": [st.just("--lambda"), _angles, st.just("--grid"), _grids],
+    "frobnicate": [],
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(file contents, argv): a diagram file for wirtinger, a presentation
+    for the other commands that read one, with faults as above."""
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    argv = [command] + [draw(arg) for arg in _ARGS[command]]
+    fault = draw(st.sampled_from(["none"] * 6 + ["drop", "extra"]))
+    if fault == "drop" and len(argv) > 1:
+        del argv[draw(st.integers(min_value=1, max_value=len(argv) - 1))]
+    if fault == "extra":
+        argv.append(draw(st.sampled_from(["--format=kv", "--format=xml", "--grid", "extra"])))
+    if command in ("homcount", "profile"):
+        argv += ["--max-evals", str(draw(st.integers(min_value=-2, max_value=3000)))]
+    text = _diagrams if command == "wirtinger" else _presentations
+    return draw(_mostly(text.map(str.encode), _junk_files)), argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_invocations())
+    @example((b"gens: a\xff\n", ["abelian", FILE]))
+    def test_every_input_ends_in_one_of_three_ways(self, invocation):
+        # exit 0 with nothing on stderr, or "knotgrp: error:" on stderr
+        # with exit 1 (input) or 2 (budget) and nothing on stdout; an
+        # exception out of run() fails the test as its traceback would
+        contents, argv = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input")
+            with open(path, "wb") as handle:
+                handle.write(contents)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([path if arg == FILE else arg for arg in argv])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("knotgrp: error: ")
+        else:
+            assert err.getvalue() == ""
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -348,10 +349,24 @@ class TestBuiltinTables:
 
     def test_group_laws_checked_on_construction(self):
         with pytest.raises(InputError, match="identity"):
-            FiniteGroupTable.from_mul("bad", [[1, 0], [0, 1]])
+            FiniteGroupTable("bad", [[1, 0], [0, 1]])
         with pytest.raises(InputError, match="associative"):
             # identity row/column fine, but x*x = e for a 3-element "group"
-            FiniteGroupTable.from_mul("bad", [[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+            FiniteGroupTable("bad", [[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+        with pytest.raises(InputError, match="associative"):
+            # element 1 associates with everything; 2 (2·(2·3) ≠ (2·2)·3) does not
+            FiniteGroupTable("bad", [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]])
+        with pytest.raises(InputError, match="not square"):
+            FiniteGroupTable("bad", [[0, 1], [1, 0, 0]])
+        with pytest.raises(InputError, match="no inverse"):
+            FiniteGroupTable("bad", [[0, 1, 2], [1, 1, 1], [2, 1, 0]])
+
+    def test_element_numbering_is_pinned(self):
+        # sha256 of repr(mul): hom searches, conjugacy classes and the
+        # bench pins all read elements by these numbers
+        for name, digest in BUILTIN_TABLE_SHA256.items():
+            mul = repr(builtin_table(name).mul).encode()
+            assert hashlib.sha256(mul).hexdigest() == digest, name
 
     def test_d4_is_nonabelian_with_five_involutions(self):
         t = builtin_table("D4")
@@ -365,6 +380,123 @@ class TestBuiltinTables:
             next(k for k in range(1, 7) if _power(t, x, k) == 0) for x in range(6)
         )
         assert orders == [1, 2, 2, 2, 3, 3]
+
+
+BUILTIN_TABLE_SHA256 = {
+    "Z2": "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
+    "Z3": "0b02f8857f3981776e483a979fdaadeaff0765fa625f75488158f22bdbb1a73e",
+    "Z4": "031f409039ede13a55cbd4c70c5d28ea75b93407fae03c0c1ffe0a30aaee6f77",
+    "Z5": "03095321f81073543dac7201d01f0bddf0ce29e2c98d433b5d90f674082fbc50",
+    "Z6": "ba5bf2265dd7e7822657f2ba37f59b7494e1cfbac736e9f5c2c171582cf07cb2",
+    "Z7": "f93b4a9a695d6a63e32cf6f8a4e11d130978c3dd45d3971e8777a13e8d123dad",
+    "Z8": "ac2edd252b1944fbae848f98f942836603d189e7e7474f9d5e83934dad5a3b71",
+    "Z9": "7b9e205866171a4061f901d4a4ee9b9def481b1a25477100d9617246941f49e9",
+    "Z10": "8d721b6000f18d915c71d2586bccf0a1561fdaf1f3befec04899b3f60a13c440",
+    "Z11": "af854f56ac40a40b9e3128281863c81e8437e6fecb81bd035a4ad13727495f26",
+    "Z12": "1b99427c98027f981e00b83b90a565e76a6f15c796f3314111c741782aac4057",
+    "S3": "04734113c8f3b77035d22c065322e0f8a39e92aeb53a92a3c6d0628d4621058d",
+    "S4": "cddada2addd38e2c349e7284c06d8d53e3c15d731014c039859c4776bdd535ff",
+    "S5": "47ca216e4737020bd7bdb667bc89ebde1f134716ffa4b45f2df6683a55f307a6",
+    "A4": "eec1bee1a3dfe2bead401c65ece12ea7f3ac1b2a0f031c4b9987689a8a3d5590",
+    "A5": "d648a03fc74c1cb82826cb06744fee67096b90b93fa673dee4f5142d3b6321ce",
+    "D4": "7f84f819f13390977c8d7fdf324659eae43280f099cd99646d1055137ef3fd27",
+}
+
+
+def _is_group_table(mul):
+    """Brute-force oracle: the group axioms checked directly, in O(n^3)."""
+    n = len(mul)
+    r = range(n)
+    return (
+        n > 0
+        and all(len(row) == n and all(type(x) is int and 0 <= x < n for x in row) for row in mul)
+        and all(mul[0][x] == x == mul[x][0] for x in r)
+        and all(any(mul[x][y] == 0 == mul[y][x] for y in r) for x in r)
+        and all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for x in r for y in r for z in r)
+    )
+
+
+@st.composite
+def square_tables(draw):
+    """Square tables of order 1-6 that reach every check of the constructor:
+    random tables over 0..n-1, some with an identity row and column, or a
+    group table (Z_n, the Klein group, S3) with its elements renumbered;
+    then up to two entries replaced by one of -1..n or a float."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)
+        mul = draw(st.lists(row, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            mul[0] = list(range(n))
+            for i in range(n):
+                mul[i][0] = i
+    else:
+        group = [[(i + j) % n for j in range(n)] for i in range(n)]
+        if n == 4 and draw(st.booleans()):
+            group = [[i ^ j for j in range(4)] for i in range(4)]
+        if n == 6 and draw(st.booleans()):
+            group = builtin_table("S3").mul
+        relabel = [0] + draw(st.permutations(range(1, n)))
+        mul = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                mul[relabel[i]][relabel[j]] = relabel[group[i][j]]
+    edit = st.one_of(st.integers(min_value=-1, max_value=n), st.sampled_from([0.0, 1.0, 2.5]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        mul[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(edit)
+    return mul
+
+
+class TestFiniteGroupTable:
+    @settings(max_examples=300, deadline=None)
+    @given(square_tables())
+    def test_accepts_exactly_the_group_tables(self, rows):
+        try:
+            table = FiniteGroupTable("T", rows)
+        except InputError:
+            assert not _is_group_table(rows)
+            return
+        assert _is_group_table(rows)
+        assert table.mul == tuple(map(tuple, rows)) and table.order == len(rows)
+        assert all(table.mul[x][y] == 0 == table.mul[y][x] for x, y in enumerate(table.inv))
+
+    @pytest.mark.parametrize(
+        "mul",
+        [
+            [[0, 1, 2], [1, 0, 7], [2, 7, 0]],  # an entry out of range
+            [[0, 1, 2], [1, 0, -1], [2, -1, 0]],  # as an index, -1 reads the last element
+            [[0, 1], [1, 0.0]],  # a float entry
+            [[0, 1], [1, "0"]],
+            [],  # the order-0 "group"
+            [[]],
+            [0, 1],  # rows that are not sequences
+            None,
+        ],
+    )
+    def test_malformed_tables_are_input_errors(self, mul):
+        with pytest.raises(InputError):
+            FiniteGroupTable("bad", mul)
+
+    def test_order_inverses_and_identity_are_derived(self):
+        # order, inv and identity were once settable, so a table could
+        # disagree with its own mul (order 3 on a 2x2 table, identity 1)
+        table = FiniteGroupTable("Z2", ((0, 1), (1, 0)))
+        assert (table.order, table.inv, table.identity) == (2, (0, 1), 0)
+        for extra in ({"order": 3}, {"inv": (0, 1)}, {"identity": 1}):
+            with pytest.raises(TypeError):
+                FiniteGroupTable("Z2", ((0, 1), (1, 0)), **extra)
+        p = parse_presentation("gens: a\nrel: a^2")
+        assert hom_count(p, table) == 2
+
+    def test_associativity_is_exact_past_order_24(self):
+        # Z_400 with two products of row 2 swapped: only the triples
+        # through those two products fail, a share near 1/400², and the
+        # 20,000-triple sample that this exact check replaced missed them
+        n = 400
+        mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+        mul[2][3], mul[2][4] = mul[2][4], mul[2][3]
+        with pytest.raises(InputError, match="associative"):
+            FiniteGroupTable("bad", mul)
 
 
 def _power(table, x, k):
@@ -387,6 +519,14 @@ class TestHomCount:
         p = Presentation(Alphabet(["a", "b", "c"]), [])
         with pytest.raises(BudgetError, match="budget"):
             hom_count(p, builtin_table("S3"), max_evals=100)
+
+    def test_budget_must_be_an_int(self):
+        p = torus_presentation(2, 3)
+        for bad in ("x", None, 1e9):
+            with pytest.raises(InputError, match="max_evals"):
+                hom_count(p, builtin_table("S3"), max_evals=bad)
+            with pytest.raises(InputError, match="max_evals"):
+                invariant_profile(p, ["Z2"], max_evals=bad)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -447,7 +587,7 @@ class TestHomCount:
         assert hom_count(simplified, table) == 180
 
     def test_many_generators_into_trivial_group(self):
-        table = FiniteGroupTable.from_mul("Z1", [[0]])
+        table = FiniteGroupTable("Z1", [[0]])
         names = " ".join(f"g{i}" for i in range(3000))
         p = parse_presentation(f"gens: {names}\nrel: g0 g1 g2^5")
         start = time.perf_counter()

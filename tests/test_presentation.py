@@ -723,6 +723,6 @@ class TestEvaluate:
 
     def test_assignment_out_of_range(self):
         p = torus_presentation(2, 3)
-        for bad in (-1, 5):
+        for bad in (-1, 5, 1.0, "2", None):
             with pytest.raises(InputError, match="element index"):
                 evaluate_word_in_quotient(p, Word([(0, 1)]), {0: bad, 1: 0}, builtin_table("Z5"))
