@@ -147,12 +147,13 @@ def build_parser() -> _Parser:
         "--max-evals", type=int, default=DEFAULT_MAX_EVALS, dest="max_evals",
         help="budget for homomorphism enumeration (assignments)",
     )
+    mn = _Parser(add_help=False)
+    mn.add_argument("m", type=int)
+    mn.add_argument("n", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    s = sub.add_parser("torus", parents=[common], help="torus-knot group presentation")
-    s.add_argument("m", type=int)
-    s.add_argument("n", type=int)
+    s = sub.add_parser("torus", parents=[common, mn], help="torus-knot group presentation")
     s.set_defaults(handler=_cmd_torus)
 
     s = sub.add_parser("wirtinger", parents=[common], help="Wirtinger presentation of a diagram")
@@ -177,22 +178,16 @@ def build_parser() -> _Parser:
     s.add_argument("--targets", required=True, help="comma-separated target names")
     s.set_defaults(handler=_cmd_profile)
 
-    s = sub.add_parser("nf", parents=[common], help="normal form in the torus-knot group")
-    s.add_argument("m", type=int)
-    s.add_argument("n", type=int)
+    s = sub.add_parser("nf", parents=[common, mn], help="normal form in the torus-knot group")
     s.add_argument("word")
     s.set_defaults(handler=_cmd_nf)
 
-    s = sub.add_parser("eq", parents=[common], help="word problem in the torus-knot group")
-    s.add_argument("m", type=int)
-    s.add_argument("n", type=int)
+    s = sub.add_parser("eq", parents=[common, mn], help="word problem in the torus-knot group")
     s.add_argument("u")
     s.add_argument("v")
     s.set_defaults(handler=_cmd_eq)
 
-    s = sub.add_parser("fporder", parents=[common], help="element order in Z_m * Z_n")
-    s.add_argument("m", type=int)
-    s.add_argument("n", type=int)
+    s = sub.add_parser("fporder", parents=[common, mn], help="element order in Z_m * Z_n")
     s.add_argument("word")
     s.set_defaults(handler=_cmd_fporder)
 

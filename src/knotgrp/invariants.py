@@ -19,7 +19,10 @@ Two invariant families are implemented, both exact:
   The search and ``evaluate_word_in_quotient`` evaluate words compiled
   to (position, ``_table_power`` row) programs with one fold, ``_value``.
   ``FiniteGroupTable(name, mul)`` refuses any ``mul`` that is not a group
-  with identity 0, checking associativity exactly (Light's test).
+  with identity 0, checking associativity exactly (Light's test). Every
+  builtin group is a list of permutations in table order (rotations for
+  Z_k, lex order for S_k and A_k, v ↦ ±v+i mod 4 for D4), and
+  ``builtin_table`` multiplies x·y as x∘y, y applied first.
 
 Counts and abelian invariants agree for isomorphic groups, so unequal
 profiles certify non-isomorphism; equal profiles are necessary evidence
@@ -269,7 +272,7 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
     def group_order(self):
-        """Order of the abelianization: an int, or INFINITE if free rank > 0."""
+        """Order of the abelianization: an int, or float("inf") if free rank > 0."""
         if self.free_rank:
             return float("inf")
         order = 1
@@ -380,45 +383,24 @@ def evaluate_word_in_quotient(
     return _value(prog, assignment, table.mul)
 
 
-def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    """(p ∘ q)(i) = p(q(i)): apply q first."""
-    return tuple(p[q[i]] for i in range(len(p)))
+def _elements(name: str) -> list[Tuple[int, ...]]:
+    """The permutations that are a builtin group's elements, in table order.
 
-
-def _table_from_elements(name: str, elements: Sequence[Tuple[int, ...]]) -> FiniteGroupTable:
-    index = {e: k for k, e in enumerate(elements)}
-    mul = [[index[_compose(x, y)] for y in elements] for x in elements]
-    return FiniteGroupTable(name, mul)
-
-
-def _is_even(perm: Tuple[int, ...]) -> bool:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return inversions % 2 == 0
-
-
-def _symmetric_table(k: int) -> FiniteGroupTable:
-    elements = list(itertools.permutations(range(k)))  # lex order, identity first
-    return _table_from_elements(f"S{k}", elements)
-
-
-def _alternating_table(k: int) -> FiniteGroupTable:
-    elements = [p for p in itertools.permutations(range(k)) if _is_even(p)]
-    return _table_from_elements(f"A{k}", elements)
-
-
-def _dihedral4_table() -> FiniteGroupTable:
-    # symmetries of a square on vertices 0..3: rotation r and the
-    # reflection s fixing vertex 0; elements e, r, r², r³, s, rs, r²s, r³s
-    r = (1, 2, 3, 0)
-    s = (0, 3, 2, 1)
-    e = (0, 1, 2, 3)
-    rotations = [e]
-    for _ in range(3):
-        rotations.append(_compose(r, rotations[-1]))
-    elements = rotations + [_compose(rot, s) for rot in rotations]
-    return _table_from_elements("D4", elements)
+    Z_k is the rotations v ↦ v+i mod k, S_k its permutations in lex order,
+    A_k the even ones among them, D4 the maps v ↦ ±v+i mod 4 of a
+    square's vertices, rotations first. Each list starts at the identity.
+    """
+    if m := re.fullmatch(r"Z([2-9]|1[0-2])", name):
+        k = int(m[1])
+        return [tuple((v + i) % k for v in range(k)) for i in range(k)]
+    if name == "D4":
+        return [tuple((s * v + i) % 4 for v in range(4)) for s in (1, -1) for i in range(4)]
+    if name in ("S3", "S4", "S5", "A4", "A5"):
+        perms = itertools.permutations(range(int(name[1])))
+        if name[0] == "S":
+            return list(perms)
+        return [p for p in perms if not sum(a > b for a, b in itertools.combinations(p, 2)) % 2]
+    raise InputError(f"unknown group table {name!r}")
 
 
 _TABLES: dict = {}  # name -> FiniteGroupTable; tables are immutable
@@ -427,26 +409,22 @@ _TABLES: dict = {}  # name -> FiniteGroupTable; tables are immutable
 def builtin_table(name: str) -> FiniteGroupTable:
     """Multiplication table of a named small group, built once per process.
 
-    Known names: Z2..Z12, S3, S4, S5, A4, A5, D4.
+    Known names: Z2..Z12, S3, S4, S5, A4, A5, D4. Element k is the k-th
+    permutation of :func:`_elements`, and x·y is the permutation x∘y,
+    which applies y first. In D4, element 1 is the rotation r and 4 the
+    reflection s, so r·s = rs and s·r = r³s:
+
+    >>> d4 = builtin_table("D4")
+    >>> d4.mul[1][4], d4.mul[4][1]
+    (5, 7)
     """
     table = _TABLES.get(name)
     if table is None:
-        table = _TABLES[name] = _build_table(name)
+        elements = _elements(name)
+        index = {x: k for k, x in enumerate(elements)}
+        mul = [[index[tuple(map(x.__getitem__, y))] for y in elements] for x in elements]
+        table = _TABLES[name] = FiniteGroupTable(name, mul)
     return table
-
-
-def _build_table(name: str) -> FiniteGroupTable:
-    m = re.fullmatch(r"Z([2-9]|1[0-2])", name)
-    if m:
-        k = int(m.group(1))
-        return FiniteGroupTable(name, [[(i + j) % k for j in range(k)] for i in range(k)])
-    if name in ("S3", "S4", "S5"):
-        return _symmetric_table(int(name[1]))
-    if name in ("A4", "A5"):
-        return _alternating_table(int(name[1]))
-    if name == "D4":
-        return _dihedral4_table()
-    raise InputError(f"unknown group table {name!r}")
 
 
 # --- homomorphism counting --------------------------------------------------
@@ -583,6 +561,11 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     return count
 
 
+def _check_max_evals(max_evals: int) -> None:
+    if not isinstance(max_evals, int):
+        raise InputError(f"max_evals must be an int, got {max_evals!r}")
+
+
 def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT_MAX_EVALS) -> int:
     """Number of homomorphisms ⟨X|R⟩ → table group (trivial one included).
 
@@ -592,8 +575,7 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
     generator in no relator contributes a factor |T|. Raises BudgetError
     before starting if the |T|^|X| assignments exceed max_evals.
     """
-    if not isinstance(max_evals, int):
-        raise InputError(f"max_evals must be an int, got {max_evals!r}")
+    _check_max_evals(max_evals)
     k = len(p.alphabet)
     order = table.order
     total = order**k
@@ -623,6 +605,7 @@ def invariant_profile(
     p: Presentation, targets: Sequence[str], max_evals: int = DEFAULT_MAX_EVALS
 ) -> InvariantProfile:
     """Abelian invariants plus hom counts into the named target groups."""
+    _check_max_evals(max_evals)
     counts = tuple((name, hom_count(p, builtin_table(name), max_evals)) for name in targets)
     return InvariantProfile(abelianization(p), counts)
 

@@ -162,33 +162,23 @@ def _defining_solution(relator: Word, gid: int) -> Word:
     return rest.inverse() if syl[k][1] == 1 else rest
 
 
-def _add_relation(relators: list[Word], move: AddRelation) -> None:
-    """Check an AddRelation against relators and append its consequence."""
-    if _derived_word(relators, move.derivation) != move.consequence:
-        raise InputError("AddRelation: derivation does not yield the stated consequence")
-    if move.consequence.is_identity():
-        raise InputError("AddRelation: consequence is the empty word")
-    relators.append(move.consequence)
-
-
-def _remove_relation(relators: list[Word], move: RemoveRelation) -> None:
-    """Check a RemoveRelation against relators and remove its relator."""
-    if not 0 <= move.index < len(relators):
-        raise InputError(f"RemoveRelation: index {move.index} out of range")
-    removed = relators.pop(move.index)
-    if _derived_word(relators, move.derivation) != removed:
-        raise InputError("RemoveRelation: relator is not derived from the remaining ones")
-
-
 def _apply_move(alphabet: Alphabet, relators: list[Word], move: TietzeMove) -> Alphabet:
     """Validate one move, apply it to relators in place and return the
     alphabet after it. Relators already in the list were checked before,
     so only those the move creates are checked here."""
     if isinstance(move, AddRelation):
-        _add_relation(relators, move)
+        if _derived_word(relators, move.derivation) != move.consequence:
+            raise InputError("AddRelation: derivation does not yield the stated consequence")
+        if move.consequence.is_identity():
+            raise InputError("AddRelation: consequence is the empty word")
+        relators.append(move.consequence)
         _check_ids(move.consequence, alphabet)
     elif isinstance(move, RemoveRelation):
-        _remove_relation(relators, move)
+        if not 0 <= move.index < len(relators):
+            raise InputError(f"RemoveRelation: index {move.index} out of range")
+        removed = relators.pop(move.index)
+        if _derived_word(relators, move.derivation) != removed:
+            raise InputError("RemoveRelation: relator is not derived from the remaining ones")
     elif isinstance(move, AddGenerator):
         for gid, _ in move.definition.syllables:
             if not alphabet.has_id(gid):
@@ -316,9 +306,9 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
             core, conj = cyclically_reduce(relators[i])
             if not conj.is_identity():
                 add = AddRelation(core, ((i, conj.inverse(), 1),))
-                _add_relation(relators, add)
+                _apply_move(alphabet, relators, add)
                 remove = RemoveRelation(i, ((len(relators) - 2, conj, 1),))
-                _remove_relation(relators, remove)
+                _apply_move(alphabet, relators, remove)
                 del facts[i]
                 facts.append(None)
                 script += (add, remove)
@@ -336,11 +326,15 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
                 j += 1
             else:
                 move = RemoveRelation(j, (found,))
-                _remove_relation(relators, move)
+                _apply_move(alphabet, relators, move)
                 del facts[j]
                 script.append(move)
 
-        # (3) Eliminate the least candidate, substituting only where it occurs.
+        # (3) Eliminate the least candidate, substituting only into the
+        # relators whose facts hold its generator. _apply_move substitutes
+        # into every relator and leaves no facts to keep, so this step does
+        # its own elimination: through _apply_move it ran about 18 % slower
+        # on 28 knot-pipeline items and about 32 % slower on T(2,201).
         best = min(((*f.candidate, i) for i, f in enumerate(facts) if f.candidate), default=None)
         if best is not None:
             _, gid, index = best

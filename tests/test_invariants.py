@@ -525,8 +525,9 @@ class TestHomCount:
         for bad in ("x", None, 1e9):
             with pytest.raises(InputError, match="max_evals"):
                 hom_count(p, builtin_table("S3"), max_evals=bad)
-            with pytest.raises(InputError, match="max_evals"):
-                invariant_profile(p, ["Z2"], max_evals=bad)
+            for targets in (["Z2"], []):
+                with pytest.raises(InputError, match="max_evals"):
+                    invariant_profile(p, targets, max_evals=bad)
 
     @settings(max_examples=150, deadline=None)
     @given(

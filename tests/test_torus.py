@@ -271,11 +271,14 @@ class TestFreeProductNormalForm:
         assert nf.syllables == (("a", 1), ("b", 1))
 
     def test_factor_relation(self):
-        assert free_product_normal_form(2, 3, w("a a")).is_identity()
+        nf = free_product_normal_form(2, 3, w("a a"))
+        assert nf.is_identity()
+        assert str(nf) == "e"
 
     def test_already_reduced(self):
         nf = free_product_normal_form(2, 3, w("b a b^2 a b"))
         assert nf.syllables == (("b", 1), ("a", 1), ("b", 2), ("a", 1), ("b", 1))
+        assert str(nf) == "b a b^2 a b"
 
     def test_coprimality_not_required(self):
         nf = free_product_normal_form(4, 6, w("a^5 b^7"))
