@@ -63,10 +63,7 @@ from .words import (
     cyclically_equal,
     cyclically_reduce,
     format_word,
-    invert,
-    multiply,
     parse_word,
-    reduce_word,
 )
 
 __version__ = "0.1.0"

@@ -360,20 +360,23 @@ def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:
     Tietze move raises InputError."""
     lines = []
     alphabet = p.alphabet
-    for move in script:
-        if isinstance(move, AddRelation):
-            lines.append(f"add relator: {format_word(move.consequence, alphabet)}")
-        elif isinstance(move, RemoveRelation):
-            lines.append(f"remove relator {move.index}")
-        elif isinstance(move, AddGenerator):
-            lines.append(f"add generator {move.name} = {format_word(move.definition, alphabet)}")
-            alphabet = alphabet.extend(move.name)
-        elif isinstance(move, RemoveGenerator):
-            lines.append(f"remove generator {move.name} using relator {move.relator_index}")
-            alphabet = alphabet.drop(move.name)
-        else:
-            name = type(move).__name__
-            raise InputError(f"move {len(lines)} ({name}): unknown Tietze move {move!r}")
+    for i, move in enumerate(script):
+        try:
+            if isinstance(move, AddRelation):
+                lines.append(f"add relator: {format_word(move.consequence, alphabet)}")
+            elif isinstance(move, RemoveRelation):
+                lines.append(f"remove relator {move.index}")
+            elif isinstance(move, AddGenerator):
+                definition = format_word(move.definition, alphabet)
+                lines.append(f"add generator {move.name} = {definition}")
+                alphabet = alphabet.extend(move.name)
+            elif isinstance(move, RemoveGenerator):
+                lines.append(f"remove generator {move.name} using relator {move.relator_index}")
+                alphabet = alphabet.drop(move.name)
+            else:
+                raise InputError(f"unknown Tietze move {move!r}")
+        except InputError as exc:
+            raise InputError(f"move {i} ({type(move).__name__}): {exc}") from None
     return lines
 
 

@@ -5,18 +5,21 @@ by it is the free product Z_m * Z_n. Every element therefore has a unique
 normal form c^t · s_1 s_2 ... s_k, where the s_i strictly alternate
 between a-syllables with exponent in [1, m-1] and b-syllables with
 exponent in [1, n-1]. Equality of normal forms solves the word problem.
+Like a Word, a normal form holds (generator id, exponent) syllables over
+AB, so 0 is a and 1 is b; only str() spells the letters.
 
 Rewriting to normal form: split a^k into c^(k floordiv m) · a^(k mod m)
 (floor division, so residues land in [0, m) for negative k too), same
 for b with n; pull all c-powers into the central exponent, drop zero
-residues, merge adjacent same-letter runs, repeat to a fixed point.
+residues, merge adjacent same-generator runs, repeat to a fixed point.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from .errors import InputError
 from .words import Alphabet, Syllable, Word
@@ -27,7 +30,7 @@ AB = Alphabet(["a", "b"])
 #: Distinguished return value for elements of infinite order.
 INFINITE = float("inf")
 
-LetterSyllable = Tuple[str, int]  # ('a' | 'b', exponent)
+_LETTERS = ("a", "b")
 
 
 @dataclass(frozen=True)
@@ -36,96 +39,62 @@ class TorusParams:
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InputError(f"torus parameters must be positive, got ({self.m}, {self.n})")
-        if gcd(self.m, self.n) != 1:
+        try:
+            m, n = operator.index(self.m), operator.index(self.n)
+        except TypeError:
             raise InputError(
-                f"invalid torus parameters ({self.m}, {self.n}): gcd is {gcd(self.m, self.n)}, "
+                f"torus parameters must be integers, got ({self.m!r}, {self.n!r})"
+            ) from None
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        if m < 1 or n < 1:
+            raise InputError(f"torus parameters must be positive, got ({m}, {n})")
+        if gcd(m, n) != 1:
+            raise InputError(
+                f"invalid torus parameters ({m}, {n}): gcd is {gcd(m, n)}, "
                 "but the curve embeds as a knot only when gcd(m, n) = 1"
             )
 
 
-_LETTERS = ("a", "b")
-_IDS = {"a": 0, "b": 1}
+def _render(syllables: Tuple[Syllable, ...]) -> str:
+    """a/b syllables in the text notation, ``^1`` elided; ``e`` when empty."""
+    return " ".join(_LETTERS[g] if e == 1 else f"{_LETTERS[g]}^{e}" for g, e in syllables) or "e"
 
 
-class TorusNormalForm:
-    """c^t · s_1 ... s_k, built from ('a'|'b', exponent) syllables.
+class TorusNormalForm(NamedTuple):
+    """c^t · s_1 ... s_k as (t, alternating (generator id, residue) syllables).
 
-    It keeps (t, generator-id syllables) and compares and hashes on that
-    pair; letters are made only where `syllables`, str or repr is read.
-
-    >>> TorusNormalForm(2, (("a", 1), ("b", 2)))
-    TorusNormalForm(central_exponent=2, syllables=(('a', 1), ('b', 2)))
+    >>> nf = TorusNormalForm(2, ((0, 1), (1, 2)))
+    >>> nf
+    TorusNormalForm(central_exponent=2, syllables=((0, 1), (1, 2)))
+    >>> print(nf)
+    c^2 · a b^2
     """
 
-    __slots__ = ("_key",)  # (central exponent, ((generator id, residue), ...))
-
-    def __init__(self, central_exponent: int, syllables: Iterable[LetterSyllable]):
-        try:
-            ids = tuple((_IDS[L], e) for L, e in syllables)
-        except KeyError as err:
-            raise InputError(f"normal-form letter must be a or b, got {err.args[0]!r}") from None
-        object.__setattr__(self, "_key", (central_exponent, ids))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusNormalForm is immutable")
-
-    def __reduce__(self):
-        return TorusNormalForm, (self.central_exponent, self.syllables)
-
-    @property
-    def central_exponent(self) -> int:
-        return self._key[0]
-
-    @property
-    def syllables(self) -> Tuple[LetterSyllable, ...]:
-        return tuple((_LETTERS[g], e) for g, e in self._key[1])
+    central_exponent: int
+    syllables: Tuple[Syllable, ...]
 
     def is_identity(self) -> bool:
-        return self._key == (0, ())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusNormalForm):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        t, syllables = self.central_exponent, self.syllables
-        return f"TorusNormalForm(central_exponent={t!r}, syllables={syllables!r})"
+        return self == (0, ())
 
     def __str__(self) -> str:
-        t, ids = self._key
-        parts = []
-        if t != 0:
-            parts.append("c" if t == 1 else f"c^{t}")
-        if ids:
-            letters = (_LETTERS[g] if e == 1 else f"{_LETTERS[g]}^{e}" for g, e in ids)
-            parts.append(" ".join(letters))
-        return " · ".join(parts) if parts else "e"
+        t, syllables = self
+        if not t:
+            return _render(syllables)
+        c = "c" if t == 1 else f"c^{t}"
+        return f"{c} · {_render(syllables)}" if syllables else c
 
 
-_set_key = TorusNormalForm._key.__set__
+class FreeProductNormalForm(NamedTuple):
+    """s_1 ... s_k as alternating (generator id, residue) syllables."""
 
-
-@dataclass(frozen=True)
-class FreeProductNormalForm:
-    syllables: Tuple[LetterSyllable, ...]
+    syllables: Tuple[Syllable, ...]
 
     def is_identity(self) -> bool:
         return not self.syllables
 
     def __str__(self) -> str:
-        parts = [L if e == 1 else f"{L}^{e}" for L, e in self.syllables]
-        return " ".join(parts) if parts else "e"
-
-
-def ab_word(syllables: Iterable[LetterSyllable]) -> Word:
-    """Build a Word over the a,b alphabet from ('a'|'b', exponent) pairs."""
-    return Word([(_IDS[L], e) for L, e in syllables])
+        return _render(self.syllables)
 
 
 def _rewrite(m: int, n: int, syllables) -> tuple[int, Tuple[Syllable, ...]]:
@@ -162,9 +131,7 @@ def torus_normal_form(p: TorusParams, w: Word) -> TorusNormalForm:
 
     Two words are equal in the group iff their normal forms are equal.
     """
-    nf = object.__new__(TorusNormalForm)
-    _set_key(nf, _rewrite(p.m, p.n, w.syllables))
-    return nf
+    return tuple.__new__(TorusNormalForm, _rewrite(p.m, p.n, w.syllables))
 
 
 def words_equal_in_torus_group(p: TorusParams, u: Word, v: Word) -> bool:
@@ -195,8 +162,7 @@ def free_product_normal_form(m: int, n: int, w: Word) -> FreeProductNormalForm:
     discarded because a^m and b^n are trivial in the quotient.
     """
     _check_factor_orders(m, n)
-    ids = _rewrite(m, n, w.syllables)[1]
-    return FreeProductNormalForm(tuple((_LETTERS[g], e) for g, e in ids))
+    return FreeProductNormalForm(_rewrite(m, n, w.syllables)[1])
 
 
 def _cyclic_core(m: int, n: int, syl: Tuple[Syllable, ...]) -> Tuple[Syllable, ...]:
@@ -237,25 +203,25 @@ def order_in_free_product(m: int, n: int, w: Word):
     return INFINITE
 
 
-def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tuple[LetterSyllable, ...]]:
+def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tuple[Syllable, ...]]:
     """All nonempty reduced free-product words with at most max_syllables syllables.
 
-    Syllables alternate between 'a' (exponents 1..m-1) and 'b'
+    Syllables alternate between a = id 0 (exponents 1..m-1) and b = id 1
     (exponents 1..n-1); enumeration order is deterministic.
     """
     _check_factor_orders(m, n)
-    ranges = {"a": range(1, m), "b": range(1, n)}
+    ranges = (range(1, m), range(1, n))
 
-    def extend(prefix: Tuple[LetterSyllable, ...], last: str) -> Iterator[Tuple[LetterSyllable, ...]]:
+    def extend(prefix: Tuple[Syllable, ...], last: int) -> Iterator[Tuple[Syllable, ...]]:
         if len(prefix) >= max_syllables:
             return
-        nxt = "b" if last == "a" else "a"
+        nxt = 1 - last
         for e in ranges[nxt]:
             longer = prefix + ((nxt, e),)
             yield longer
             yield from extend(longer, nxt)
 
-    for first in ("a", "b"):
+    for first in (0, 1):
         for e in ranges[first]:
             start = ((first, e),)
             yield start
@@ -274,7 +240,7 @@ def max_torsion_order(m: int, n: int, search_length: int) -> int:
         raise InputError("search_length must be >= 1")
     best = 1
     for syl in enumerate_reduced_words(m, n, search_length):
-        order = order_in_free_product(m, n, ab_word(syl))
+        order = order_in_free_product(m, n, Word(syl))
         if order is not INFINITE and order > best:
             best = order
     return best

@@ -222,7 +222,7 @@ class Word:
 
         Raises BudgetError, before allocating, when c has two or more
         syllables and |c|·|n| exceeds MAX_POWER_SYLLABLES."""
-        if n == 0:
+        if n == 0 or not self.syllables:
             return _IDENTITY
         if n == 1:
             return self
@@ -256,25 +256,6 @@ class Word:
 
 _IDENTITY = object.__new__(Word)
 object.__setattr__(_IDENTITY, "syllables", ())
-
-
-def reduce_word(raw: Iterable[Syllable]) -> Word:
-    """Freely reduce a raw (generator, exponent) sequence.
-
-    >>> reduce_word([(0, 2), (1, 1), (0, -1), (0, 6)]).syllables
-    ((0, 2), (1, 1), (0, 5))
-    >>> reduce_word([(0, 3), (0, -3)]).is_identity()
-    True
-    """
-    return Word(raw)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
 
 
 def cyclically_reduce(w: Word) -> Tuple[Word, Word]:

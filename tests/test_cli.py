@@ -375,6 +375,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_invocations())
     @example((b"gens: a\xff\n", ["abelian", FILE]))
+    @example((b"gens: a b c\nrel: a^9999999999999999999 b\nrel: a^1\n", ["simplify", FILE]))
     def test_every_input_ends_in_one_of_three_ways(self, invocation):
         # exit 0 with nothing on stderr, or "knotgrp: error:" on stderr
         # with exit 1 (input) or 2 (budget) and nothing on stdout; an

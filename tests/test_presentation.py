@@ -522,12 +522,19 @@ class TestDescribeScript:
         p, _ = drop_then_add_script()
         with pytest.raises(InputError, match="move 0 \\(AddGenerator\\): .*'a' already in alphabet"):
             apply_tietze(p, [AddGenerator("a", Word([(1, 1)]))])
-        with pytest.raises(InputError, match="'a' already in alphabet"):
+        with pytest.raises(InputError, match="move 0 \\(AddGenerator\\): .*'a' already in alphabet"):
             describe_script(p, [AddGenerator("a", Word([(1, 1)]))])
+
+    def test_unknown_generators_keep_the_move_prefix(self):
+        p = torus_presentation(2, 3)
+        with pytest.raises(InputError, match="^move 0 \\(AddGenerator\\): unknown generator id 7$"):
+            describe_script(p, [AddGenerator("x", Word([(7, 1)]))])
+        with pytest.raises(InputError, match="^move 1 \\(RemoveGenerator\\): unknown generator 'zz'$"):
+            describe_script(p, [RemoveRelation(0, ()), RemoveGenerator("zz", 0)])
 
     def test_non_move_is_refused(self):
         p = torus_presentation(2, 3)
-        with pytest.raises(InputError, match="move 0 \\(str\\): unknown Tietze move 'junk'"):
+        with pytest.raises(InputError, match="^move 0 \\(str\\): unknown Tietze move 'junk'$"):
             describe_script(p, ["junk"])
 
     def test_nothing_is_replayed(self, monkeypatch):

@@ -14,7 +14,6 @@ from knotgrp.torus import (
     FreeProductNormalForm,
     TorusNormalForm,
     TorusParams,
-    ab_word,
     enumerate_reduced_words,
     free_product_normal_form,
     is_central,
@@ -65,8 +64,7 @@ def reference_normal_form(m, n, word):
                 split.append((g, r))
         merged = merge(split)
         if merged == split:
-            letters = {0: "a", 1: "b"}
-            return t, tuple((letters[g], e) for g, e in merged)
+            return t, tuple(merged)
         current = merged
 
 
@@ -83,6 +81,12 @@ class TestParams:
         with pytest.raises(InputError):
             TorusParams(0, 3)
 
+    def test_rejects_non_integers(self):
+        for m, n in ((2.0, 3), (2, "3"), (None, 3)):
+            with pytest.raises(InputError, match="must be integers"):
+                TorusParams(m, n)
+        assert type(TorusParams(True, 2).m) is int
+
 
 class TestTorusNormalForm:
     def test_relator_is_identity(self):
@@ -97,8 +101,8 @@ class TestTorusNormalForm:
 
     def test_negative_exponents_use_floor_residues(self):
         p = TorusParams(2, 3)
-        assert torus_normal_form(p, w("a^-1")) == TorusNormalForm(-1, (("a", 1),))
-        assert torus_normal_form(p, w("b^-2")) == TorusNormalForm(-1, (("b", 1),))
+        assert torus_normal_form(p, w("a^-1")) == TorusNormalForm(-1, ((0, 1),))
+        assert torus_normal_form(p, w("b^-2")) == TorusNormalForm(-1, ((1, 1),))
 
     def test_commutator_is_not_identity(self):
         p = TorusParams(2, 3)
@@ -122,10 +126,10 @@ class TestTorusNormalForm:
     def test_degenerate_m1_collapses_a(self):
         p = TorusParams(1, 5)
         nf = torus_normal_form(p, w("a^3 b^2 a^-1 b^4"))
-        assert all(L == "b" for L, _ in nf.syllables)
+        assert all(g == 1 for g, _ in nf.syllables)
         assert len(nf.syllables) <= 1
         # the group is infinite cyclic generated by b: b^j -> (j // 5, b^(j % 5))
-        assert torus_normal_form(p, w("b^7")) == TorusNormalForm(1, (("b", 2),))
+        assert torus_normal_form(p, w("b^7")) == TorusNormalForm(1, ((1, 2),))
 
     def test_foreign_generator(self):
         p = TorusParams(2, 3)
@@ -134,21 +138,20 @@ class TestTorusNormalForm:
 
     def test_printing(self):
         assert str(TorusNormalForm(0, ())) == "e"
-        assert str(TorusNormalForm(2, (("a", 1), ("b", 2)))) == "c^2 · a b^2"
+        assert str(TorusNormalForm(2, ((0, 1), (1, 2)))) == "c^2 · a b^2"
         assert str(TorusNormalForm(1, ())) == "c"
 
     def test_value_semantics(self):
         built = torus_normal_form(TorusParams(2, 3), w("a^3 b^-1"))
-        made = TorusNormalForm(0, (("a", 1), ("b", 2)))
+        made = TorusNormalForm(0, ((0, 1), (1, 2)))
         assert built == made and hash(built) == hash(made)
-        assert built != TorusNormalForm(1, (("a", 1), ("b", 2))) and built != made.syllables
-        assert built.syllables == (("a", 1), ("b", 2)) and built.central_exponent == 0
-        assert repr(built) == "TorusNormalForm(central_exponent=0, syllables=(('a', 1), ('b', 2)))"
+        assert built != TorusNormalForm(1, ((0, 1), (1, 2))) and built != made.syllables
+        assert built.syllables == ((0, 1), (1, 2)) and built.central_exponent == 0
+        assert built == (0, ((0, 1), (1, 2)))
+        assert repr(built) == "TorusNormalForm(central_exponent=0, syllables=((0, 1), (1, 2)))"
         assert pickle.loads(pickle.dumps(built)) == built
         with pytest.raises(AttributeError):
             built.central_exponent = 1
-        with pytest.raises(InputError, match="must be a or b"):
-            TorusNormalForm(0, (("c", 1),))
 
     def test_negative_generator_id(self):
         with pytest.raises(InputError, match="other than a, b"):
@@ -268,7 +271,7 @@ class TestHomConsistency:
 class TestFreeProductNormalForm:
     def test_mod_reduction(self):
         nf = free_product_normal_form(2, 3, w("a^3 b^4"))
-        assert nf.syllables == (("a", 1), ("b", 1))
+        assert nf.syllables == ((0, 1), (1, 1))
 
     def test_factor_relation(self):
         nf = free_product_normal_form(2, 3, w("a a"))
@@ -277,12 +280,12 @@ class TestFreeProductNormalForm:
 
     def test_already_reduced(self):
         nf = free_product_normal_form(2, 3, w("b a b^2 a b"))
-        assert nf.syllables == (("b", 1), ("a", 1), ("b", 2), ("a", 1), ("b", 1))
+        assert nf.syllables == ((1, 1), (0, 1), (1, 2), (0, 1), (1, 1))
         assert str(nf) == "b a b^2 a b"
 
     def test_coprimality_not_required(self):
         nf = free_product_normal_form(4, 6, w("a^5 b^7"))
-        assert nf.syllables == (("a", 1), ("b", 1))
+        assert nf.syllables == ((0, 1), (1, 1))
 
     def test_confluence_under_concatenation(self):
         rng = random.Random(5)
@@ -292,8 +295,8 @@ class TestFreeProductNormalForm:
                 v = Word([(rng.randint(0, 1), rng.randint(-5, 5)) for _ in range(rng.randint(0, 6))])
                 direct = free_product_normal_form(m, n, u * v)
                 via_forms = free_product_normal_form(
-                    m, n, ab_word(free_product_normal_form(m, n, u).syllables)
-                    * ab_word(free_product_normal_form(m, n, v).syllables)
+                    m, n, Word(free_product_normal_form(m, n, u).syllables)
+                    * Word(free_product_normal_form(m, n, v).syllables)
                 )
                 assert direct == via_forms
 
@@ -325,7 +328,7 @@ class TestOrders:
     def test_orders_match_brute_force_powers(self):
         for m, n in ((2, 3), (3, 4), (5, 2)):
             for syl in enumerate_reduced_words(m, n, 3):
-                word = ab_word(syl)
+                word = Word(syl)
                 claimed = order_in_free_product(m, n, word)
                 power = Word.identity()
                 brute = None
@@ -363,10 +366,10 @@ class TestEnumeration:
 
     def test_alternation_and_ranges(self):
         for syl in enumerate_reduced_words(3, 4, 4):
-            for (l1, e1), (l2, e2) in zip(syl, syl[1:]):
-                assert l1 != l2
-            for letter, e in syl:
-                assert 1 <= e <= (2 if letter == "a" else 3)
+            for (g1, e1), (g2, e2) in zip(syl, syl[1:]):
+                assert g1 != g2
+            for g, e in syl:
+                assert 1 <= e <= (2 if g == 0 else 3)
 
 
 class TestTrivialCenterOfFreeProduct:
@@ -374,7 +377,7 @@ class TestTrivialCenterOfFreeProduct:
         for m, n in ((2, 3), (3, 4)):
             a, b = w("a"), w("b")
             for syl in enumerate_reduced_words(m, n, 5):
-                word = ab_word(syl)
+                word = Word(syl)
                 assert any(
                     free_product_normal_form(m, n, word * g)
                     != free_product_normal_form(m, n, g * word)
@@ -384,13 +387,13 @@ class TestTrivialCenterOfFreeProduct:
 
 def reference_cyclic_core(m, n, syl):
     """The list-rebuilding conjugation loop that _cyclic_core replaced."""
-    mod = {"a": m, "b": n}
+    mod = {0: m, 1: n}
     current = list(syl)
     while len(current) >= 2 and current[0][0] == current[-1][0]:
-        L = current[0][0]
-        e = (current[0][1] + current[-1][1]) % mod[L]
+        g = current[0][0]
+        e = (current[0][1] + current[-1][1]) % mod[g]
         middle = current[1:-1]
-        current = middle + ([(L, e)] if e else [])
+        current = middle + ([(g, e)] if e else [])
     return tuple(current)
 
 
@@ -400,7 +403,7 @@ def reference_order(m, n, word):
         return INFINITE
     if not core:
         return 1
-    mod = m if core[0][0] == "a" else n
+    mod = m if core[0][0] == 0 else n
     return mod // math.gcd(mod, core[0][1])
 
 
@@ -408,13 +411,13 @@ class TestTorsionClassification:
     def test_cyclic_core_matches_reference_on_conjugates(self):
         from knotgrp.torus import _cyclic_core
 
-        reduced = [ab_word(syl) for syl in enumerate_reduced_words(3, 4, 4)]
+        reduced = [Word(syl) for syl in enumerate_reduced_words(3, 4, 4)]
         for core in reduced:
             for g in reduced[::7]:
                 word = g * core * g.inverse()
                 syl = free_product_normal_form(3, 4, word).syllables
-                expected = ab_word(reference_cyclic_core(3, 4, syl)).syllables
-                assert _cyclic_core(3, 4, ab_word(syl).syllables) == expected
+                expected = Word(reference_cyclic_core(3, 4, syl)).syllables
+                assert _cyclic_core(3, 4, Word(syl).syllables) == expected
                 assert order_in_free_product(3, 4, word) == reference_order(3, 4, word)
 
     def test_finite_order_implies_short_cyclic_core(self):
@@ -422,7 +425,7 @@ class TestTorsionClassification:
         from knotgrp.torus import _cyclic_core
 
         for syl in enumerate_reduced_words(2, 3, 6):
-            word = ab_word(syl)
+            word = Word(syl)
             order = order_in_free_product(2, 3, word)
             if order is not INFINITE:
                 assert len(_cyclic_core(2, 3, word.syllables)) <= 1
