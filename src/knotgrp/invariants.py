@@ -35,7 +35,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence, Tuple
+from typing import ClassVar, Mapping, Sequence, Tuple
 
 from .errors import BudgetError, InputError
 from .presentation import Presentation
@@ -44,29 +44,32 @@ from .words import Word
 DEFAULT_MAX_EVALS = 10**8
 
 
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """A small immutable integer matrix (arbitrary precision entries)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    entries: Tuple[Tuple[int, ...], ...]
+    cols: int | None = None
+    rows: int = field(init=False)
 
-    def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        grid = tuple(tuple(int(x) for x in row) for row in entries)
+    def __post_init__(self):
+        try:
+            grid = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        except TypeError:
+            raise InputError("matrix entries must be rows of integers") from None
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
                 raise InputError("ragged matrix rows")
         else:
-            if cols is None:
+            if self.cols is None:
                 raise InputError("empty matrix needs an explicit column count")
-            width = cols
-        if cols is not None and grid and cols != width:
+            width = self.cols
+        if self.cols is not None and grid and self.cols != width:
             raise InputError("column count mismatch")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "rows", len(grid))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -92,14 +95,6 @@ class IntMatrix:
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.entries]!r}, cols={self.cols})"

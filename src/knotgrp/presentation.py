@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InputError
-from .torus import AB, TorusParams
+from .torus import AB, TorusParams, _positive_orders
 from .words import (
     Alphabet,
     Word,
@@ -33,41 +33,26 @@ from .words import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class Presentation:
-    """An immutable presentation: ordered alphabet plus relator words."""
+    """An immutable presentation: ordered alphabet plus relator words.
 
-    __slots__ = ("alphabet", "relators")
+    `relators` may be any iterable of Words over the alphabet's ids; the
+    identity relators are dropped and the rest kept as a tuple.
+    """
 
-    def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = ()):
+    alphabet: Alphabet
+    relators: Tuple[Word, ...] = ()
+
+    def __post_init__(self):
         rels = []
-        for r in relators:
+        for r in self.relators:
             if not isinstance(r, Word):
                 raise InputError("relators must be Word values")
-            _check_ids(r, alphabet)
+            _check_ids(r, self.alphabet)
             if not r.is_identity():
                 rels.append(r)
-        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "relators", tuple(rels))
-
-    @classmethod
-    def _trusted(cls, alphabet: Alphabet, relators: Tuple[Word, ...]) -> "Presentation":
-        """A presentation of relators already known to be nonempty and over
-        alphabet's ids, built without checking them again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "alphabet", alphabet)
-        object.__setattr__(p, "relators", relators)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.relators == other.relators
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.relators))
 
     def __repr__(self) -> str:
         rels = ", ".join(format_word(r, self.alphabet) for r in self.relators)
@@ -86,14 +71,13 @@ def torus_presentation(m: int, n: int) -> Presentation:
     Requires m, n >= 1 and gcd(m, n) = 1; otherwise the parameters do
     not describe a knot.
     """
-    TorusParams(m, n)
-    return Presentation(AB, [Word([(0, m), (1, -n)])])
+    p = TorusParams(m, n)
+    return Presentation(AB, [Word([(0, p.m), (1, -p.n)])])
 
 
 def free_product_presentation(m: int, n: int) -> Presentation:
     """⟨a,b | a^m, b^n⟩, presenting Z_m * Z_n."""
-    if m < 1 or n < 1:
-        raise InputError(f"free-product parameters must be positive, got ({m}, {n})")
+    m, n = _positive_orders(m, n)
     return Presentation(AB, [Word([(0, m)]), Word([(1, n)])])
 
 
@@ -214,7 +198,7 @@ def apply_tietze(p: Presentation, script: Iterable[TietzeMove]) -> Presentation:
             alphabet = _apply_move(alphabet, relators, move)
         except InputError as exc:
             raise InputError(f"move {i} ({type(move).__name__}): {exc}") from None
-    return Presentation._trusted(alphabet, tuple(relators))
+    return Presentation(alphabet, relators)
 
 
 # --- auto_simplify ----------------------------------------------------------
@@ -350,7 +334,7 @@ def auto_simplify(p: Presentation) -> tuple[Presentation, Tuple[TietzeMove, ...]
             script.append(move)
 
         if len(script) == moves:
-            return Presentation._trusted(alphabet, tuple(relators)), tuple(script)
+            return Presentation(alphabet, relators), tuple(script)
 
 
 def describe_script(p: Presentation, script: Sequence[TietzeMove]) -> list[str]:

@@ -30,7 +30,7 @@ AB = Alphabet(["a", "b"])
 #: Distinguished return value for elements of infinite order.
 INFINITE = float("inf")
 
-_LETTERS = ("a", "b")
+_LETTERS = {0: "a", 1: "b"}
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,9 @@ class TorusParams:
     n: int
 
     def __post_init__(self):
-        try:
-            m, n = operator.index(self.m), operator.index(self.n)
-        except TypeError:
-            raise InputError(
-                f"torus parameters must be integers, got ({self.m!r}, {self.n!r})"
-            ) from None
+        m, n = _positive_orders(self.m, self.n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        if m < 1 or n < 1:
-            raise InputError(f"torus parameters must be positive, got ({m}, {n})")
         if gcd(m, n) != 1:
             raise InputError(
                 f"invalid torus parameters ({m}, {n}): gcd is {gcd(m, n)}, "
@@ -56,9 +49,26 @@ class TorusParams:
             )
 
 
+def _positive_orders(m, n) -> tuple[int, int]:
+    """(m, n) as ints; InputError unless both are positive integers."""
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise InputError(f"m and n must be integers, got ({m!r}, {n!r})") from None
+    if m < 1 or n < 1:
+        raise InputError(f"m and n must be positive, got ({m}, {n})")
+    return m, n
+
+
 def _render(syllables: Tuple[Syllable, ...]) -> str:
     """a/b syllables in the text notation, ``^1`` elided; ``e`` when empty."""
-    return " ".join(_LETTERS[g] if e == 1 else f"{_LETTERS[g]}^{e}" for g, e in syllables) or "e"
+    try:
+        text = " ".join(_LETTERS[g] if e == 1 else f"{_LETTERS[g]}^{e}" for g, e in syllables)
+    except KeyError as exc:
+        raise InputError(
+            f"normal form uses a generator other than a, b (id {exc.args[0]})"
+        ) from None
+    return text or "e"
 
 
 class TorusNormalForm(NamedTuple):
@@ -150,18 +160,13 @@ def is_central(p: TorusParams, w: Word) -> bool:
     return not torus_normal_form(p, w).syllables or p.m == 1 or p.n == 1
 
 
-def _check_factor_orders(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise InputError(f"factor orders must be positive, got ({m}, {n})")
-
-
 def free_product_normal_form(m: int, n: int, w: Word) -> FreeProductNormalForm:
     """Unique reduced form of w's image in Z_m * Z_n (gcd(m,n) arbitrary).
 
     Same rewriting as the torus normal form; the central power is
     discarded because a^m and b^n are trivial in the quotient.
     """
-    _check_factor_orders(m, n)
+    m, n = _positive_orders(m, n)
     return FreeProductNormalForm(_rewrite(m, n, w.syllables)[1])
 
 
@@ -192,7 +197,7 @@ def order_in_free_product(m: int, n: int, w: Word):
     has the order of its exponent in the factor; anything longer has
     infinite order (its powers never collapse).
     """
-    _check_factor_orders(m, n)
+    m, n = _positive_orders(m, n)
     core = _cyclic_core(m, n, _rewrite(m, n, w.syllables)[1])
     if not core:
         return 1
@@ -209,7 +214,7 @@ def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tupl
     Syllables alternate between a = id 0 (exponents 1..m-1) and b = id 1
     (exponents 1..n-1); enumeration order is deterministic.
     """
-    _check_factor_orders(m, n)
+    m, n = _positive_orders(m, n)
     ranges = (range(1, m), range(1, n))
 
     def extend(prefix: Tuple[Syllable, ...], last: int) -> Iterator[Tuple[Syllable, ...]]:
@@ -234,6 +239,7 @@ def max_torsion_order(m: int, n: int, search_length: int) -> int:
     Equals max(m, n) for every search_length >= 1: all torsion in
     Z_m * Z_n is conjugate into one of the factors.
     """
+    m, n = _positive_orders(m, n)
     if m < 2 or n < 2:
         raise InputError("max_torsion_order requires m, n >= 2")
     if search_length < 1:

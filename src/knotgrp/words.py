@@ -13,6 +13,7 @@ whitespace or ``*``, e.g. ``a^2 b^-3``.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Tuple
 
 from .errors import BudgetError, InputError
@@ -168,6 +169,7 @@ def _join(u: Tuple[Syllable, ...], v: Tuple[Syllable, ...]) -> Tuple[Syllable, .
     return u[:i] + v[j:]
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word; the empty word is the identity.
 
@@ -178,13 +180,10 @@ class Word:
     True
     """
 
-    __slots__ = ("syllables",)
+    syllables: Tuple[Syllable, ...]
 
     def __init__(self, raw: Iterable[Syllable] = ()):
         object.__setattr__(self, "syllables", _reduce(raw))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def identity(cls) -> "Word":
@@ -242,20 +241,11 @@ class Word:
         """g * self * g^-1."""
         return g * self * g.inverse()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return hash(self.syllables)
-
     def __repr__(self) -> str:
         return f"Word({list(self.syllables)!r})"
 
 
-_IDENTITY = object.__new__(Word)
-object.__setattr__(_IDENTITY, "syllables", ())
+_IDENTITY = Word._from_reduced(())
 
 
 def cyclically_reduce(w: Word) -> Tuple[Word, Word]:

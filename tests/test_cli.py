@@ -8,6 +8,7 @@ import tempfile
 
 from hypothesis import example, given, settings, strategies as st
 
+import knotgrp
 from knotgrp import words
 from knotgrp.cli import run
 
@@ -180,6 +181,11 @@ class TestInvariantCommands:
             assert code == 2 and out == "" and err.startswith("knotgrp: error:")
         code, out, _ = invoke(capsys, "homcount", path, "--target", "S3")
         assert code == 0 and out == "hom S3: 24\n"
+
+    def test_profile_without_targets(self, capsys, tmp_path):
+        path = self.write(tmp_path, "gens: a\n")
+        code, out, err = invoke(capsys, "profile", path, "--targets", ",")
+        assert code == 1 and out == "" and err == "knotgrp: error: no targets given\n"
 
     def test_bad_target(self, capsys, tmp_path):
         path = self.write(tmp_path, "gens: a\n")
@@ -407,12 +413,22 @@ class TestDeterminism:
         assert len(outputs) == 1
 
 
+def child_env():
+    """This environment with the imported knotgrp's source root first on
+    PYTHONPATH, so a child interpreter imports the package under test."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(knotgrp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         result = subprocess.run(
             [sys.executable, "-m", "knotgrp", "torus", "2", "3"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "gens: a b\nrel: a^2 b^-3\n"
@@ -422,6 +438,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-c", "import sys, knotgrp; print('numpy' in sys.modules)"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "False\n"

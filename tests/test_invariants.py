@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import time
 
@@ -169,10 +172,22 @@ class TestIntMatrix:
             IntMatrix([[1, 2], [3]])
         with pytest.raises(InputError):
             IntMatrix([], cols=None)
+        with pytest.raises(InputError, match="column count mismatch"):
+            IntMatrix([[1, 2]], cols=3)
+
+    def test_refuses_non_integer_entries(self):
+        for entries in ([[2.5]], [["3"]], [[1, None]], [3]):
+            with pytest.raises(InputError, match="rows of integers"):
+                IntMatrix(entries)
+        with pytest.raises(InputError):
+            smith_normal_form(IntMatrix([[2.9, 0], [0, 3]]))
+        assert IntMatrix([[True, 0]]).entries == ((1, 0),)
 
     def test_matmul(self):
         a = IntMatrix([[1, 2], [3, 4]])
         assert (a @ IntMatrix.identity(2)) == a
+        with pytest.raises(InputError, match="matrix shape mismatch"):
+            a @ IntMatrix([[1, 2, 3]])
 
     def test_determinant(self):
         assert determinant(IntMatrix([[2, 0], [0, 3]])) == 6
@@ -181,6 +196,28 @@ class TestIntMatrix:
         assert determinant(IntMatrix([[4]])) == 4
         with pytest.raises(InputError):
             determinant(IntMatrix([[1, 2]], cols=2))
+
+    def test_singular_determinant_matches_a_zero_smith_entry(self):
+        # the first two run out of pivots in a column; Bareiss ends on 0 in the third
+        for rows in ([[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 6], [3, 6, 1]], [[2, 4], [1, 2]]):
+            a = IntMatrix(rows)
+            assert determinant(a) == 0
+            d, _, _ = check_snf(a)
+            assert 0 in d.diagonal()
+
+
+class TestValues:
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        values = (
+            Word([(0, 2), (1, -1)]),
+            parse_presentation("gens: a b\nrel: a^2 b^-3"),
+            IntMatrix([[2, 0], [0, 3]]),
+        )
+        for value in values:
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
 
 
 class TestSmithNormalForm:

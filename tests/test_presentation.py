@@ -56,6 +56,10 @@ class TestConstruction:
         with pytest.raises(InputError):
             Presentation(Alphabet(["a"]), [Word([(5, 1)])])
 
+    def test_rejects_relators_that_are_not_words(self):
+        with pytest.raises(InputError, match="relators must be Word values"):
+            Presentation(Alphabet(["a", "b"]), [((0, 1),)])
+
 
 class TestTorusPresentation:
     def test_trefoil_parameters(self):
@@ -162,6 +166,13 @@ class TestTietzeMoves:
             ([AddGenerator("c", Word([(0, 1)])), RemoveGenerator("c", 2)],
              "move 1 (RemoveGenerator): RemoveGenerator: relator index 2 out of range"),
             ([RemoveGenerator("c", 0)], "move 0 (RemoveGenerator): unknown generator 'c'"),
+            ([AddRelation(p.relators[0], ((1, Word.identity(), 1),))],
+             "move 0 (AddRelation): derivation references relator 1 out of range"),
+            ([AddRelation(p.relators[0], ((0, Word.identity(), 2),))],
+             "move 0 (AddRelation): derivation sign must be +1 or -1, got 2"),
+            ([AddRelation(Word.identity(), ())],
+             "move 0 (AddRelation): AddRelation: consequence is the empty word"),
+            (["junk"], "move 0 (str): unknown Tietze move 'junk'"),
         ]
         for script, message in cases:
             with pytest.raises(InputError) as raised:

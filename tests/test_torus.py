@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from knotgrp.errors import InputError
 from knotgrp.invariants import builtin_table, evaluate_word_in_quotient
-from knotgrp.presentation import torus_presentation
+from knotgrp.presentation import free_product_presentation, torus_presentation
 from knotgrp.torus import (
     AB,
     INFINITE,
@@ -87,6 +87,22 @@ class TestParams:
                 TorusParams(m, n)
         assert type(TorusParams(True, 2).m) is int
 
+    def test_every_entry_point_refuses_non_integer_orders(self):
+        entry_points = (
+            lambda m, n: free_product_normal_form(m, n, w("a b")),
+            lambda m, n: order_in_free_product(m, n, w("a b")),
+            lambda m, n: list(enumerate_reduced_words(m, n, 2)),
+            lambda m, n: max_torsion_order(m, n, 2),
+            free_product_presentation,
+            torus_presentation,
+        )
+        for call in entry_points:
+            for m, n in ((2.0, 3), (2, "3"), (2.5, 3)):
+                with pytest.raises(InputError, match="must be integers"):
+                    call(m, n)
+            with pytest.raises(InputError, match="must be positive"):
+                call(0, 3)
+
 
 class TestTorusNormalForm:
     def test_relator_is_identity(self):
@@ -140,6 +156,11 @@ class TestTorusNormalForm:
         assert str(TorusNormalForm(0, ())) == "e"
         assert str(TorusNormalForm(2, ((0, 1), (1, 2)))) == "c^2 · a b^2"
         assert str(TorusNormalForm(1, ())) == "c"
+
+    def test_printing_refuses_ids_other_than_a_and_b(self):
+        for form, gid in ((FreeProductNormalForm(((2, 1),)), 2), (TorusNormalForm(0, ((-1, 1),)), -1)):
+            with pytest.raises(InputError, match=rf"other than a, b \(id {gid}\)"):
+                str(form)
 
     def test_value_semantics(self):
         built = torus_normal_form(TorusParams(2, 3), w("a^3 b^-1"))

@@ -153,6 +153,10 @@ class TestMultiplyInvert:
         w = parse_word("a b a^-1", AB)
         assert w ** 10**9 == parse_word(f"a b^{10**9} a^-1", AB)
 
+    def test_power_budget(self):
+        with pytest.raises(BudgetError, match="repeat 2 syllables 10000000 times"):
+            Word([(0, 1), (1, 1)]) ** 10**7
+
     def test_huge_power_of_identity(self):
         e = Word.identity()
         assert (e ** 10**19).is_identity() and (e ** -(10**19)).is_identity()
