@@ -10,36 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import BudgetError, InputError
-from .geometry import RetractionParams, report_pairs, verify_retraction
-from .invariants import (
-    DEFAULT_MAX_EVALS,
-    abelianization,
-    builtin_table,
-    hom_count,
-    invariant_profile,
-    profile_pairs,
-)
-from .presentation import (
-    Presentation,
-    auto_simplify,
-    describe_script,
-    format_word,
-    parse_presentation,
-    torus_presentation,
-)
-from .torus import (
-    AB,
-    INFINITE,
-    TorusParams,
-    order_in_free_product,
-    torus_normal_form,
-    words_equal_in_torus_group,
-)
-from .wirtinger import builtin_diagram, parse_diagram, wirtinger_presentation
-from .words import parse_word
+from .errors import DEFAULT_MAX_EVALS, BudgetError, InputError
 
 Pairs = list[tuple[str, str]]
 
@@ -60,30 +33,42 @@ def _read_text(path: str) -> str:
 
 
 def _load_diagram(source: str):
+    from .wirtinger import builtin_diagram, parse_diagram
+
     if source.startswith("builtin:"):
         return builtin_diagram(source[len("builtin:") :])
     return parse_diagram(_read_text(source))
 
 
-def _load_presentation(path: str) -> Presentation:
+def _load_presentation(path: str):
+    from .presentation import parse_presentation
+
     return parse_presentation(_read_text(path))
 
 
-def _presentation_pairs(p: Presentation) -> Pairs:
+def _presentation_pairs(p) -> Pairs:
+    from .words import format_word
+
     pairs = [("gens", " ".join(p.alphabet.names))]
     pairs.extend(("rel", format_word(r, p.alphabet)) for r in p.relators)
     return pairs
 
 
 def _cmd_torus(args) -> Pairs:
+    from .presentation import torus_presentation
+
     return _presentation_pairs(torus_presentation(args.m, args.n))
 
 
 def _cmd_wirtinger(args) -> Pairs:
+    from .wirtinger import wirtinger_presentation
+
     return _presentation_pairs(wirtinger_presentation(_load_diagram(args.diagram)))
 
 
 def _cmd_simplify(args) -> Pairs:
+    from .presentation import auto_simplify, describe_script
+
     p = _load_presentation(args.presentation)
     simplified, script = auto_simplify(p)
     pairs = _presentation_pairs(simplified)
@@ -92,16 +77,22 @@ def _cmd_simplify(args) -> Pairs:
 
 
 def _cmd_abelian(args) -> Pairs:
+    from .invariants import abelianization
+
     return [("abelian", str(abelianization(_load_presentation(args.presentation))))]
 
 
 def _cmd_homcount(args) -> Pairs:
+    from .invariants import builtin_table, hom_count
+
     p = _load_presentation(args.presentation)
     count = hom_count(p, builtin_table(args.target), args.max_evals)
     return [(f"hom {args.target}", str(count))]
 
 
 def _cmd_profile(args) -> Pairs:
+    from .invariants import invariant_profile, profile_pairs
+
     p = _load_presentation(args.presentation)
     targets = [name for name in args.targets.split(",") if name]
     if not targets:
@@ -110,27 +101,38 @@ def _cmd_profile(args) -> Pairs:
 
 
 def _parse_ab(text: str):
+    from .torus import AB
+    from .words import parse_word
+
     return parse_word(text, AB)
 
 
 def _cmd_nf(args) -> Pairs:
+    from .torus import TorusParams, torus_normal_form
+
     params = TorusParams(args.m, args.n)
     nf = torus_normal_form(params, _parse_ab(args.word))
     return [("nf", str(nf))]
 
 
 def _cmd_eq(args) -> Pairs:
+    from .torus import TorusParams, words_equal_in_torus_group
+
     params = TorusParams(args.m, args.n)
     equal = words_equal_in_torus_group(params, _parse_ab(args.u), _parse_ab(args.v))
     return [("equal", "true" if equal else "false")]
 
 
 def _cmd_fporder(args) -> Pairs:
+    from .torus import INFINITE, order_in_free_product
+
     order = order_in_free_product(args.m, args.n, _parse_ab(args.word))
     return [("order", "infinite" if order == INFINITE else str(order))]
 
 
 def _cmd_retraction(args) -> Pairs:
+    from .geometry import RetractionParams, report_pairs, verify_retraction
+
     report = verify_retraction(RetractionParams(args.half_angle), args.grid)
     return report_pairs(report)
 

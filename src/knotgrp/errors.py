@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default budget."""
+
+#: Default budget for homomorphism enumeration, in assignments.
+DEFAULT_MAX_EVALS = 10**8
 
 
 class KnotGrpError(Exception):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from .errors import BudgetError, InputError
 
@@ -65,14 +64,14 @@ def validate_region_point(params: RetractionParams, x0: float, y0: float) -> Non
             raise InputError(f"point ({x0}, {y0}) lies outside the sector")
 
 
-def retract(params: RetractionParams, point: Tuple[float, float]) -> Tuple[float, float]:
+def retract(params: RetractionParams, point: tuple[float, float]) -> tuple[float, float]:
     """Image of a region point on OP ∪ OQ under the retraction."""
     x0, y0 = point
     validate_region_point(params, x0, y0)
     return _closed_form(math.tan(params.half_angle), x0, y0)
 
 
-def _closed_form(t: float, x0: float, y0: float) -> Tuple[float, float]:
+def _closed_form(t: float, x0: float, y0: float) -> tuple[float, float]:
     """r(x0, y0) for t = tan λ, by the closed form above; no validation."""
     if abs(x0) < _AXIS_TOL:
         return (0.0, 0.0)
@@ -87,7 +86,7 @@ def _closed_form(t: float, x0: float, y0: float) -> Tuple[float, float]:
     return (u, t * u) if x0 > 0 else (u, -t * u)
 
 
-def _segment_distance(point: Tuple[float, float], end: Tuple[float, float]) -> float:
+def _segment_distance(point: tuple[float, float], end: tuple[float, float]) -> float:
     """Distance from point to the segment from the origin to `end`."""
     px, py = point
     ex, ey = end
@@ -95,7 +94,7 @@ def _segment_distance(point: Tuple[float, float], end: Tuple[float, float]) -> f
     return math.hypot(px - h * ex, py - h * ey)
 
 
-def distance_to_target(params: RetractionParams, point: Tuple[float, float]) -> float:
+def distance_to_target(params: RetractionParams, point: tuple[float, float]) -> float:
     """Distance from a point to OP ∪ OQ."""
     c, s = math.cos(params.half_angle), math.sin(params.half_angle)
     return min(_segment_distance(point, (c, s)), _segment_distance(point, (-c, s)))

@@ -37,11 +37,10 @@ import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence, Tuple
 
-from .errors import BudgetError, InputError
+from .errors import DEFAULT_MAX_EVALS, BudgetError, InputError
 from .presentation import Presentation
+from .torus import _integer
 from .words import Word
-
-DEFAULT_MAX_EVALS = 10**8
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,15 +56,20 @@ class IntMatrix:
             grid = tuple(tuple(map(operator.index, row)) for row in self.entries)
         except TypeError:
             raise InputError("matrix entries must be rows of integers") from None
+        cols = self.cols
+        if cols is not None:
+            cols = _integer(cols, "column count")
+            if cols < 0:
+                raise InputError(f"column count must be >= 0, got {cols}")
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
                 raise InputError("ragged matrix rows")
         else:
-            if self.cols is None:
+            if cols is None:
                 raise InputError("empty matrix needs an explicit column count")
-            width = self.cols
-        if self.cols is not None and grid and self.cols != width:
+            width = cols
+        if cols is not None and grid and cols != width:
             raise InputError("column count mismatch")
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "cols", width)

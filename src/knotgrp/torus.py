@@ -60,6 +60,14 @@ def _positive_orders(m, n) -> tuple[int, int]:
     return m, n
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; InputError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _render(syllables: Tuple[Syllable, ...]) -> str:
     """a/b syllables in the text notation, ``^1`` elided; ``e`` when empty."""
     try:
@@ -215,6 +223,9 @@ def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tupl
     (exponents 1..n-1); enumeration order is deterministic.
     """
     m, n = _positive_orders(m, n)
+    max_syllables = _integer(max_syllables, "max_syllables")
+    if max_syllables < 1:
+        return
     ranges = (range(1, m), range(1, n))
 
     def extend(prefix: Tuple[Syllable, ...], last: int) -> Iterator[Tuple[Syllable, ...]]:
@@ -242,6 +253,7 @@ def max_torsion_order(m: int, n: int, search_length: int) -> int:
     m, n = _positive_orders(m, n)
     if m < 2 or n < 2:
         raise InputError("max_torsion_order requires m, n >= 2")
+    search_length = _integer(search_length, "search_length")
     if search_length < 1:
         raise InputError("search_length must be >= 1")
     best = 1

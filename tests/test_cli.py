@@ -1,11 +1,13 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knotgrp
@@ -442,3 +444,58 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "False\n"
+
+
+def modules_loaded_by(code):
+    """The knotgrp modules a fresh interpreter holds after running code."""
+    probe = "\nimport sys\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'knotgrp'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code + probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+class TestLazyLoading:
+    def test_import_loads_no_submodule(self):
+        assert modules_loaded_by("import knotgrp") == {"knotgrp"}
+
+    def test_word_query_loads_only_words_and_torus(self):
+        code = "from knotgrp import cli\nassert cli.run(['nf', '2', '3', 'a b']) == 0"
+        assert modules_loaded_by(code) == {
+            "knotgrp",
+            "knotgrp.cli",
+            "knotgrp.errors",
+            "knotgrp.words",
+            "knotgrp.torus",
+        }
+
+    def test_retraction_loads_no_group_code(self):
+        argv = ["retraction", "--lambda", "0.5", "--grid", "16"]
+        code = f"from knotgrp import cli\nassert cli.run({argv!r}) == 0"
+        loaded = modules_loaded_by(code)
+        assert "knotgrp.geometry" in loaded
+        for unused in ("words", "torus", "presentation", "invariants", "wirtinger"):
+            assert f"knotgrp.{unused}" not in loaded
+
+    def test_exports_are_the_objects_their_submodules_define(self):
+        for module, names in knotgrp._EXPORTS.items():
+            sub = importlib.import_module(f"knotgrp.{module}")
+            for name in names:
+                value = getattr(knotgrp, name)
+                assert value is getattr(sub, name)
+                if hasattr(value, "__qualname__"):
+                    assert value.__module__ == sub.__name__
+
+    def test_namespace_lists_and_binds_every_export(self):
+        assert len(knotgrp.__all__) == len(set(knotgrp.__all__)) == 53
+        assert set(knotgrp.__all__) <= set(dir(knotgrp))
+        namespace = {}
+        exec("from knotgrp import *", namespace)
+        del namespace["__builtins__"]
+        assert namespace == {name: getattr(knotgrp, name) for name in knotgrp.__all__}
+        with pytest.raises(AttributeError, match="nope"):
+            knotgrp.nope

@@ -183,6 +183,18 @@ class TestIntMatrix:
             smith_normal_form(IntMatrix([[2.9, 0], [0, 3]]))
         assert IntMatrix([[True, 0]]).entries == ((1, 0),)
 
+    def test_refuses_non_integer_or_negative_column_count(self):
+        for cols in ("3", 2.5, None):
+            with pytest.raises(InputError):
+                IntMatrix([], cols=cols)
+        with pytest.raises(InputError, match=">= 0"):
+            IntMatrix([], cols=-2)
+        with pytest.raises(InputError, match="must be an integer"):
+            smith_normal_form(IntMatrix([], cols=2.5))
+        empty = IntMatrix([], cols=True)
+        assert type(empty.cols) is int and empty.cols == 1
+        assert IntMatrix([[1, 2]], cols=2).cols == 2
+
     def test_matmul(self):
         a = IntMatrix([[1, 2], [3, 4]])
         assert (a @ IntMatrix.identity(2)) == a

@@ -374,6 +374,14 @@ class TestMaxTorsion:
         with pytest.raises(InputError):
             max_torsion_order(1, 5, 3)
 
+    def test_refuses_non_integer_search_length(self):
+        for length in (2.5, "2", None):
+            with pytest.raises(InputError, match="search_length must be an integer"):
+                max_torsion_order(2, 3, length)
+        for length in (0, -1):
+            with pytest.raises(InputError, match="search_length must be >= 1"):
+                max_torsion_order(2, 3, length)
+
 
 class TestEnumeration:
     def test_counts_at_2_3(self):
@@ -384,6 +392,14 @@ class TestEnumeration:
         all_words = list(enumerate_reduced_words(2, 3, 6))
         assert len(set(all_words)) == len(all_words)
         assert all(1 <= len(s) <= 6 for s in all_words)
+
+    def test_length_argument_is_checked(self):
+        for length in (2.5, "2", None):
+            with pytest.raises(InputError, match="max_syllables must be an integer"):
+                list(enumerate_reduced_words(2, 3, length))
+        assert list(enumerate_reduced_words(2, 3, 0)) == []
+        assert list(enumerate_reduced_words(2, 3, -1)) == []
+        assert list(enumerate_reduced_words(2, 3, True)) == [((0, 1),), ((1, 1),), ((1, 2),)]
 
     def test_alternation_and_ranges(self):
         for syl in enumerate_reduced_words(3, 4, 4):
