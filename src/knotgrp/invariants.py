@@ -5,12 +5,14 @@ Two invariant families are implemented, both exact:
 * the abelianization, read off the Smith diagonal of the relator
   exponent-sum matrix in arbitrary-precision integers. One elimination
   kernel does all Smith forms. Each position takes the smallest entry
-  of the remaining block as pivot, then sweeps its row and column with
-  rounded quotients, so every nonzero remainder is at most half the
-  pivot and becomes the next one: the pivots strictly decrease, which
-  ends the sweeps and keeps entries and transforms small. Transforms
-  exist only when `smith_normal_form` borders the matrix with
-  identities for the kernel to carry along;
+  of the remaining block as pivot and clears its column before its row.
+  Row sweeps with rounded quotients repeat, each remainder at most half
+  the pivot and the smallest becoming the next one, until the column is
+  zero below the pivot; only then does one column operation sweep the
+  row, when only the pivot row and the transform border still meet it.
+  The pivots strictly decrease, which ends the sweeps and keeps entries
+  and transforms small. Transforms exist only when `smith_normal_form`
+  borders the matrix with identities for the kernel to carry along;
 * homomorphism counts into finite groups given by multiplication
   tables, by an exact search that binds each generator to the roots of
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
@@ -163,13 +165,19 @@ def _diagonalize(m: list[list[int]], rows: int, cols: int) -> None:
 
     Pivoting is deterministic. Position t first takes the smallest
     |value| of the whole remaining block, ties row-major, made positive.
-    A sweep subtracts q = round(b/p) times the pivot p from every entry b
-    below it (row operations) and right of it (column operations), so
-    each remainder has |r| ≤ p/2. If any remainder is nonzero, the
-    smallest (ties row-major), found during the sweep, becomes the pivot
-    at t and the sweep repeats. Each pivot at t is at most half the one
-    before, so the sweeps end, with column t and row t clear. A pivot
-    that divides its whole row and column, as 1 does, takes one sweep.
+    Column t is cleared first: a row sweep subtracts q = round(b/p)
+    times the pivot row from every row with an entry b below the pivot
+    p, so each remainder has |r| ≤ p/2. While any remainder is nonzero,
+    the smallest (ties topmost) becomes the pivot by a row swap and
+    the row sweep repeats. Only with column t zero below the pivot does
+    one column operation subtract round(b/p) times column t from every
+    column with an entry b right of p; by then only row t and the lower
+    border have entries in column t, so it touches no other row. A
+    remainder left in row t, the smallest (ties leftmost), becomes the
+    pivot by a column swap, and column t is cleared again. Each pivot at
+    t is at most half the one before, so the sweeps end, with column t
+    and row t clear. A pivot that divides its whole row and column, as 1
+    does, takes one sweep of each.
     """
     n, t = min(rows, cols), 0
     while True:
@@ -197,6 +205,8 @@ def _diagonalize(m: list[list[int]], rows: int, cols: int) -> None:
                             b = row[t]
                         if b and (pivot is None or abs(b) < size):
                             pivot, size = (k, t), abs(b)
+                if pivot is not None:
+                    continue
                 right = head[t + 1 : cols]
                 qs = right if p == 1 else [(b + half) // p for b in right]
                 if any(qs):
@@ -204,12 +214,10 @@ def _diagonalize(m: list[list[int]], rows: int, cols: int) -> None:
                         c = row[t]
                         if c:
                             row[t + 1 : cols] = [x - q * c for x, q in zip(row[t + 1 : cols], qs)]
-                # a pivot of 1 leaves no remainders; row t precedes the
-                # rows below it in row-major order
+                # a pivot of 1 leaves no remainders
                 if p > 1 and any(right := head[t + 1 : cols]):
-                    a, k = min((abs(b), k) for k, b in enumerate(right, t + 1) if b)
-                    if pivot is None or a <= size:
-                        pivot = t, k
+                    _, k = min((abs(b), k) for k, b in enumerate(right, t + 1) if b)
+                    pivot = t, k
             t += 1
         # Enforce the divisibility chain: a violating pair is merged by a
         # row addition and the sweep is rerun from that pivot.
@@ -281,7 +289,14 @@ class AbelianInvariants:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariant factors of the abelianized group, off the Smith diagonal."""
+    """Invariant factors of the abelianized group, off the Smith diagonal.
+
+    >>> from knotgrp.words import Alphabet, parse_word
+    >>> ab = Alphabet(["a", "b"])
+    >>> p = Presentation(ab, [parse_word("a^2 b^4", ab), parse_word("a^6 b^8", ab)])
+    >>> print(abelianization(p))
+    Z/2 x Z/4
+    """
     m = _exponent_rows(p)
     width = len(p.alphabet)
     _diagonalize(m, len(m), width)

@@ -221,10 +221,12 @@ class _Facts:
     def __init__(self, r: Word):
         syl = r.syllables
         counts: dict[int, int] = {}
-        for g, _ in syl:
+        length = 0
+        for g, e in syl:
             counts[g] = counts.get(g, 0) + 1
+            length += abs(e)
         once = [g for g, e in syl if counts[g] == 1 and abs(e) == 1]
-        self.candidate = (r.letter_length, min(once)) if once else None
+        self.candidate = (length, min(once)) if once else None
         self.gens = frozenset(counts)
         if len(syl) > 1 and syl[0][0] == syl[-1][0]:
             counts[syl[0][0]] -= 1

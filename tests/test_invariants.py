@@ -323,6 +323,19 @@ class TestSmithNormalForm:
             product *= x
         assert product == abs(determinant(a))
 
+    def test_transform_growth_at_n80(self):
+        # 19,498 bits when each row sweep also swept the rows it left
+        # with remainders in the pivot column; 7,761 clearing it first
+        rng = random.Random(80)
+        a = IntMatrix([[rng.randint(-6, 6) for _ in range(80)] for _ in range(80)])
+        d, u, v = smith_normal_form(a)
+        bits = max(abs(x).bit_length() for t in (u, v) for row in t.entries for x in row)
+        assert bits < 8000
+        product = 1
+        for x in d.diagonal():
+            product *= x
+        assert product == abs(determinant(a))
+
 
 class TestRelationMatrix:
     def test_torus_relator(self):
@@ -374,6 +387,30 @@ class TestAbelianization:
         inv = abelianization(p)
         assert inv.free_rank == 0
         assert inv.group_order() == abs(det)
+
+    @pytest.mark.parametrize("n, seed, duplicate", [(22, 22, False), (40, 41, False), (40, 42, True)])
+    def test_census_size_matches_smith_diagonal(self, n, seed, duplicate):
+        # the kernel without transforms against the bordered run of
+        # smith_normal_form, and its torsion order against Bareiss
+        rng = random.Random(seed)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if duplicate:
+            rows[-1] = rows[0]
+        a = IntMatrix(rows)
+        diag = check_snf(a)[0].diagonal()
+        p = Presentation(
+            Alphabet([f"g{j}" for j in range(n)]),
+            [Word([(j, x) for j, x in enumerate(row) if x]) for row in rows],
+        )
+        inv = abelianization(p)
+        assert inv == AbelianInvariants(
+            free_rank=n - sum(1 for x in diag if x),
+            torsion_factors=tuple(x for x in diag if x > 1),
+        )
+        det = determinant(a)
+        assert (det == 0) == duplicate
+        if det:
+            assert inv.group_order() == abs(det)
 
     def test_formatting(self):
         assert str(AbelianInvariants(0, ())) == "1"
