@@ -16,8 +16,10 @@ Two invariant families are implemented, both exact:
 * homomorphism counts into finite groups given by multiplication
   tables, by an exact search that binds each generator to the roots of
   x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
-  checks each relator once its generators are bound and fixes the first
-  image up to conjugacy; the evaluation budget is still the full |T|^|X|.
+  checks each relator once its generators are bound, runs the first image
+  over conjugacy classes and, when it enumerates, the second over orbits
+  of the first's centralizer, and into a commutative target sees only
+  each relator's exponent sums; the budget is still the full |T|^|X|.
   The search and ``evaluate_word_in_quotient`` evaluate words compiled
   to (position, ``_table_power`` row) programs with one fold, ``_value``.
   ``FiniteGroupTable(name, mul)`` refuses any ``mul`` that is not a group
@@ -33,6 +35,7 @@ only, and reports say so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -353,6 +356,30 @@ class FiniteGroupTable:
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "inv", tuple(inv))
 
+    @functools.cached_property
+    def classes(self) -> dict[int, tuple[int, dict[int, int]]]:
+        """Conjugation data, computed on first use: for each conjugacy
+        class, keyed by its least element x, the class size and the orbits
+        of x's centralizer C(x) acting on the group by conjugation, as a
+        dict from each orbit's least element to its size, shared and not to
+        be mutated. The group is commutative exactly when every class is a
+        singleton."""
+        mul, inv, n = self.mul, self.inv, self.order
+
+        def orbits(group) -> dict[int, int]:
+            sizes, seen = {}, set()
+            for y in range(n):
+                if y not in seen:
+                    orbit = {mul[mul[h][y]][inv[h]] for h in group}
+                    seen |= orbit
+                    sizes[y] = len(orbit)
+            return sizes
+
+        return {
+            x: (size, orbits([h for h in range(n) if mul[h][x] == mul[x][h]]))
+            for x, size in orbits(range(n)).items()
+        }
+
 
 def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
     """x^e by repeated squaring in a finite multiplication table."""
@@ -505,36 +532,33 @@ def _plan(relators: Sequence[_Program]) -> list[_Step]:
     return steps
 
 
-def _conjugacy_classes(table: FiniteGroupTable) -> dict[int, int]:
-    """Class size keyed by the smallest element of each conjugacy class."""
-    mul, inv = table.mul, table.inv
-    seen = [False] * table.order
-    sizes = {}
-    for x in range(table.order):
-        if not seen[x]:
-            orbit = {mul[mul[h][x]][inv[h]] for h in range(table.order)}
-            for y in orbit:
-                seen[y] = True
-            sizes[x] = len(orbit)
-    return sizes
+def _exponent_sums(rel: _Program) -> _Program:
+    """A relator's nonzero exponent sums by position: all a commutative group sees."""
+    sums: dict[int, int] = {}
+    for pos, e in rel:
+        sums[pos] = sums.get(pos, 0) + e
+    return tuple(sorted((pos, s) for pos, s in sums.items() if s))
 
 
 def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     """Assignments of the planned generators that pass every check.
 
     Depth-first over the plan with an explicit stack of iterators, each
-    over the roots of x^e = v from a table built once per exponent. Step
-    0 enumerates, since no relator is solvable before a generator is
-    bound, over one element per conjugacy class weighted by its size:
-    conjugating a homomorphism by a fixed element gives another, so each
-    element of a class extends in equally many ways.
+    over the roots of x^e = v from a table built once per exponent.
+    Conjugating a homomorphism gives another, so step 0 (it enumerates:
+    no relator is solvable before a generator is bound) runs over one
+    element x per conjugacy class, weighted by the class size. If step 1
+    enumerates too, it runs over one element per orbit of x's centralizer
+    C(x), weighted by class size × orbit size: C(x) fixes x, so every
+    element of an orbit extends in equally many ways.
     """
     if not steps:
         return 1
     mul = table.mul
     roots = {step.exponent: [[] for _ in range(table.order)] for step in steps}
     exponents = roots.keys() | {e for s in steps for prog in (s.solve,) + s.checks for _, e in prog}
-    powers = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
+    powers = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents - {1, -1}}
+    powers.update({1: mul[0], -1: table.inv})  # x^1 and x^-1 need no powering
     for e, by_value in roots.items():
         for x, v in enumerate(powers[e]):
             by_value[v].append(x)
@@ -546,7 +570,8 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
     solves = [compiled(step.solve) for step in steps]
     step_roots = [roots[step.exponent] for step in steps]
     checks = [tuple(map(compiled, step.checks)) for step in steps]
-    class_size = _conjugacy_classes(table)
+    classes = table.classes
+    by_orbit = len(steps) > 1 and not steps[1].exponent
     value = [0] * k
 
     def options(level: int):
@@ -554,7 +579,7 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
 
     last = len(steps) - 1
     count, weight = 0, 1
-    stack = [iter(class_size)]
+    stack = [iter(classes)]
     while stack:
         level = len(stack) - 1
         x = next(stack[level], None)
@@ -563,13 +588,18 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
             continue
         value[positions[level]] = x
         if level == 0:
-            weight = class_size[x]
+            size, orbits = classes[x]
+            weight = size
+        elif level == 1 and by_orbit:
+            weight = size * orbits[x]
         for prog in checks[level]:
             if _value(prog, value, mul):
                 break
         else:
             if level == last:
                 count += weight
+            elif level == 0 and by_orbit:
+                stack.append(iter(orbits))
             else:
                 stack.append(options(level + 1))
     return count
@@ -585,9 +615,13 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
 
     By von Dyck's theorem these are the assignments of X that send every
     relator to the identity. An exact search binds the generators that
-    occur in relators one at a time (see _plan and _search); each
-    generator in no relator contributes a factor |T|. Raises BudgetError
-    before starting if the |T|^|X| assignments exceed max_evals.
+    occur in relators one at a time, its first two images up to
+    conjugacy (see _plan and _search); each generator in no relator
+    contributes a factor |T|. A commutative target sees only exponent
+    sums, so there each relator is reduced to its nonzero sums first and
+    dropped if none is left. Raises BudgetError before any work if the
+    |T|^|X| assignments exceed max_evals: the budget is unchanged and
+    does not count the smaller search.
     """
     _check_max_evals(max_evals)
     k = len(p.alphabet)
@@ -600,6 +634,8 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
         )
     positions = {gen.id: i for i, gen in enumerate(p.alphabet)}
     relators = [tuple((positions[g], e) for g, e in r.syllables) for r in p.relators]
+    if len(table.classes) == order:
+        relators = [rel for rel in map(_exponent_sums, relators) if rel]
     steps = _plan(relators)
     return _search(steps, table, k) * order ** (k - len(steps))
 

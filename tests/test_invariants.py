@@ -231,6 +231,14 @@ class TestValues:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, dataclasses.fields(value)[0].name, None)
 
+    def test_table_copies_after_conjugation_data_was_read(self):
+        table = builtin_table("S3")
+        table.classes
+        fresh = FiniteGroupTable(table.name, table.mul)
+        for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert twin.classes == fresh.classes
+
 
 class TestSmithNormalForm:
     def test_coprime_row(self):
@@ -460,6 +468,25 @@ class TestBuiltinTables:
         involutions = [x for x in range(1, 8) if t.mul[x][x] == 0]
         assert len(involutions) == 5  # r^2 and four reflections
 
+    def test_conjugation_data(self):
+        # the orbit totals are Burnside's count of the orbits of T on T×T
+        # under simultaneous conjugation: the search's first two images
+        totals = {"Z6": 36, "D4": 28, "S3": 11, "A4": 22, "S4": 43, "A5": 77, "S5": 161}
+        for name, total in totals.items():
+            t = builtin_table(name)
+            classes = t.classes
+            assert sum(size for size, _ in classes.values()) == t.order, name
+            for x, (size, orbits) in classes.items():
+                assert sum(orbits.values()) == t.order, name
+                conjugates = {t.mul[t.mul[h][x]][t.inv[h]] for h in range(t.order)}
+                assert min(conjugates) == x and len(conjugates) == size, name
+                centralizer = [h for h in range(t.order) if t.mul[h][x] == t.mul[x][h]]
+                for y in orbits:
+                    assert min(t.mul[t.mul[h][y]][t.inv[h]] for h in centralizer) == y, name
+            commutative = all(t.mul[x][y] == t.mul[y][x] for x in range(t.order) for y in range(x))
+            assert commutative == (len(classes) == t.order) == (name == "Z6"), name
+            assert sum(len(orbits) for _, orbits in classes.values()) == total, name
+
     def test_s3_element_orders(self):
         t = builtin_table("S3")
         orders = sorted(
@@ -640,6 +667,14 @@ class TestHomCount:
         "S3",
         (3, [[(0, 1), (1, 1), (0, -1), (2, -1)], [(1, 1), (2, 1), (1, -1), (0, -1)],
              [(2, 1), (0, 1), (2, -1), (1, -1)]]),
+    )
+    @example("Z6", (2, [[(0, 1), (1, 1), (0, -1), (1, -1)]]))  # a commutator: 36
+    @example("S3", (2, [[(0, 1), (1, 1), (0, -1), (1, -1)]]))  # 18 commuting pairs
+    @example("S3", (2, [[(0, 1), (1, 3)]]))  # step 1 solves y^-3 = x: several roots
+    @example("A4", (2, [[(0, 1), (1, 3)]]))
+    @example(  # T(2,5) over two generators: b a b a b = a b a b a, into S4
+        "S4",
+        (2, [[(1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, -1), (1, -1), (0, -1), (1, -1), (0, -1)]]),
     )
     def test_agrees_with_scalar_enumeration(self, target, shape):
         # independent oracle: scalar evaluation over every explicit assignment
