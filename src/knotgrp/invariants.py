@@ -14,14 +14,16 @@ Two invariant families are implemented, both exact:
   and transforms small. Transforms exist only when `smith_normal_form`
   borders the matrix with identities for the kernel to carry along;
 * homomorphism counts into finite groups given by multiplication
-  tables, by an exact search that binds each generator to the roots of
-  x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as g^s),
-  checks each relator once its generators are bound, runs the first image
-  over conjugacy classes and, when it enumerates, the second over orbits
-  of the first's centralizer, and into a commutative target sees only
-  each relator's exponent sums; the budget is still the full |T|^|X|.
-  The search and ``evaluate_word_in_quotient`` evaluate words compiled
-  to (position, ``_table_power`` row) programs with one fold, ``_value``.
+  tables, by three rules. Into a commutative target every hom factors
+  through the abelianization, so the count is read off the Smith
+  diagonal. Otherwise an exact search binds each generator to the roots
+  of x^e = v (e = 0 enumerates; e = -s solves a relator pinning it as
+  g^s) and checks each relator once its generators are bound; each
+  enumerating step runs over the orbits of the stabilizer of the images
+  bound so far. The budget is still the full |T|^|X|. The table caches
+  its x^e rows, their roots and its stabilizer orbits on first use, and
+  the search and ``evaluate_word_in_quotient`` evaluate words compiled
+  to (generator id, row) programs with one fold, ``_value``.
   ``FiniteGroupTable(name, mul)`` refuses any ``mul`` that is not a group
   with identity 0, checking associativity exactly (Light's test). Every
   builtin group is a list of permutations in table order (rotations for
@@ -325,6 +327,11 @@ class FiniteGroupTable:
     order: int = field(init=False)
     inv: Tuple[int, ...] = field(init=False)
     identity: ClassVar[int] = 0
+    # Lazily filled caches: x^e rows and their roots by exponent mod order,
+    # and stabilizer orbits by bitmask. Not compared, hashed or printed.
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -357,28 +364,63 @@ class FiniteGroupTable:
         object.__setattr__(self, "inv", tuple(inv))
 
     @functools.cached_property
-    def classes(self) -> dict[int, tuple[int, dict[int, int]]]:
-        """Conjugation data, computed on first use: for each conjugacy
-        class, keyed by its least element x, the class size and the orbits
-        of x's centralizer C(x) acting on the group by conjugation, as a
-        dict from each orbit's least element to its size, shared and not to
-        be mutated. The group is commutative exactly when every class is a
-        singleton."""
-        mul, inv, n = self.mul, self.inv, self.order
+    def commutative(self) -> bool:
+        """Whether xy = yx throughout: `mul` equals its transpose."""
+        return self.mul == tuple(zip(*self.mul))
 
-        def orbits(group) -> dict[int, int]:
+    @functools.cached_property
+    def centralizers(self) -> Tuple[int, ...]:
+        """C(x) for each x, as a bitmask over the elements."""
+        mul, n = self.mul, self.order
+        return tuple(
+            sum(1 << h for h in range(n) if mul[h][x] == mul[x][h]) for x in range(n)
+        )
+
+    @functools.cached_property
+    def classes(self) -> dict[int, tuple[int, dict[int, int]]]:
+        """Conjugation data: for each conjugacy class, keyed by its least
+        element x, the class size and ``orbits`` of x's centralizer C(x).
+        The group is commutative exactly when every class is a singleton."""
+        whole = (1 << self.order) - 1
+        return {
+            x: (size, self.orbits(self.centralizers[x])) for x, size in self.orbits(whole).items()
+        }
+
+    def power(self, e: int) -> Tuple[int, ...]:
+        """The row x ↦ x^e, computed once per exponent mod the order (x^order = 1)."""
+        e %= self.order
+        row = self._powers.get(e)
+        if row is None:
+            row = self._powers[e] = tuple(_table_power(self, x, e) for x in range(self.order))
+        return row
+
+    def roots(self, e: int) -> Tuple[Tuple[int, ...], ...]:
+        """For each value v, the x with x^e = v, ascending; computed once per exponent."""
+        e %= self.order
+        roots = self._roots.get(e)
+        if roots is None:
+            by_value: list[list[int]] = [[] for _ in range(self.order)]
+            for x, v in enumerate(self.power(e)):
+                by_value[v].append(x)
+            roots = self._roots[e] = tuple(map(tuple, by_value))
+        return roots
+
+    def orbits(self, stabilizer: int) -> dict[int, int]:
+        """The orbits of the subgroup with bitmask `stabilizer` acting on the
+        group by conjugation, as a dict from each orbit's least element to
+        its size; computed once per subgroup, shared and not to be mutated."""
+        sizes = self._orbits.get(stabilizer)
+        if sizes is None:
+            mul, inv, n = self.mul, self.inv, self.order
+            group = [h for h in range(n) if stabilizer >> h & 1]
             sizes, seen = {}, set()
             for y in range(n):
                 if y not in seen:
                     orbit = {mul[mul[h][y]][inv[h]] for h in group}
                     seen |= orbit
                     sizes[y] = len(orbit)
-            return sizes
-
-        return {
-            x: (size, orbits([h for h in range(n) if mul[h][x] == mul[x][h]]))
-            for x, size in orbits(range(n)).items()
-        }
+            self._orbits[stabilizer] = sizes
+        return sizes
 
 
 def _table_power(table: FiniteGroupTable, x: int, e: int) -> int:
@@ -418,9 +460,7 @@ def evaluate_word_in_quotient(
     for gid, _ in w.syllables:
         if not p.alphabet.has_id(gid):
             raise InputError(f"word uses generator id {gid} not in the presentation")
-    exponents = {e for _, e in w.syllables}
-    rows = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents}
-    prog = tuple((gid, rows[e]) for gid, e in w.syllables)
+    prog = tuple((gid, table.power(e)) for gid, e in w.syllables)
     return _value(prog, assignment, table.mul)
 
 
@@ -470,14 +510,15 @@ def builtin_table(name: str) -> FiniteGroupTable:
 
 # --- homomorphism counting --------------------------------------------------
 
-_Program = Tuple[Tuple[int, int], ...]  # (generator position, exponent) syllables
+_Program = Tuple[Tuple[int, int], ...]  # (generator id, exponent) syllables
 
 
 @dataclass(frozen=True)
 class _Step:
-    """Bind the generator at `position` to each root x of x^exponent = v,
-    v the value of `solve`, then check that each relator in `checks` is
-    the identity. Enumerating is exponent 0 with an empty `solve`."""
+    """Bind the generator with id `position` (its slot in the search's
+    value list) to each root x of x^exponent = v, v the value of `solve`,
+    then check that each relator in `checks` is the identity. Enumerating
+    is exponent 0 with an empty `solve`."""
 
     position: int
     exponent: int
@@ -491,8 +532,8 @@ def _plan(relators: Sequence[_Program]) -> list[_Step]:
     A relator A·g^s·B whose only unbound generator g occurs once solves
     it: g^-s = B·A, a step with exponent -s and program B·A. Otherwise
     the step enumerates the unbound generator that occurs in the most
-    relators, lowest position on ties. Every relator is checked at the
-    step that binds its last generator, except the one a step solves.
+    relators, lowest id on ties. Every relator is checked at the step
+    that binds its last generator, except the one a step solves.
     """
     gens_of = [{pos for pos, _ in rel} for rel in relators]
     rels_of: dict[int, list[int]] = {}
@@ -532,54 +573,43 @@ def _plan(relators: Sequence[_Program]) -> list[_Step]:
     return steps
 
 
-def _exponent_sums(rel: _Program) -> _Program:
-    """A relator's nonzero exponent sums by position: all a commutative group sees."""
-    sums: dict[int, int] = {}
-    for pos, e in rel:
-        sums[pos] = sums.get(pos, 0) + e
-    return tuple(sorted((pos, s) for pos, s in sums.items() if s))
-
-
-def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
+def _search(steps: Sequence[_Step], table: FiniteGroupTable) -> int:
     """Assignments of the planned generators that pass every check.
 
-    Depth-first over the plan with an explicit stack of iterators, each
-    over the roots of x^e = v from a table built once per exponent.
-    Conjugating a homomorphism gives another, so step 0 (it enumerates:
-    no relator is solvable before a generator is bound) runs over one
-    element x per conjugacy class, weighted by the class size. If step 1
-    enumerates too, it runs over one element per orbit of x's centralizer
-    C(x), weighted by class size × orbit size: C(x) fixes x, so every
-    element of an orbit extends in equally many ways.
+    Depth-first over the plan with an explicit stack of iterators (plans
+    can be thousands of steps deep), programs compiled to the table's
+    cached power rows. A solving step runs over the table's cached roots
+    of x^e = v. Conjugating a homomorphism by an element of the
+    stabilizer S = C(x_1) ∩ … ∩ C(x_L) of the images bound so far keeps
+    them and gives another homomorphism, so the completions are equally
+    many across each S-orbit of the next image: an enumerating step runs
+    over one element per S-orbit, weighted by the orbit size. Step 0 (it
+    enumerates: no relator is solvable before a generator is bound) has
+    S the whole group, whose orbits are the conjugacy classes. S is a
+    bitmask, narrowed only while a later step enumerates, and the table
+    caches the orbits of each S it meets.
     """
     if not steps:
         return 1
     mul = table.mul
-    roots = {step.exponent: [[] for _ in range(table.order)] for step in steps}
-    exponents = roots.keys() | {e for s in steps for prog in (s.solve,) + s.checks for _, e in prog}
-    powers = {e: [_table_power(table, x, e) for x in range(table.order)] for e in exponents - {1, -1}}
-    powers.update({1: mul[0], -1: table.inv})  # x^1 and x^-1 need no powering
-    for e, by_value in roots.items():
-        for x, v in enumerate(powers[e]):
-            by_value[v].append(x)
 
     def compiled(prog: _Program):
-        return tuple((pos, powers[e]) for pos, e in prog)
+        return tuple((pos, table.power(e)) for pos, e in prog)
 
     positions = [step.position for step in steps]
     solves = [compiled(step.solve) for step in steps]
-    step_roots = [roots[step.exponent] for step in steps]
+    step_roots = [table.roots(step.exponent) for step in steps]
     checks = [tuple(map(compiled, step.checks)) for step in steps]
-    classes = table.classes
-    by_orbit = len(steps) > 1 and not steps[1].exponent
-    value = [0] * k
-
-    def options(level: int):
-        return iter(step_roots[level][_value(solves[level], value, mul)])
-
+    enumerates = [not step.exponent for step in steps]
+    narrowing = max(level for level, step in enumerate(steps) if not step.exponent)
+    centralizers = table.centralizers if narrowing else ()
+    value = [0] * (max(positions) + 1)
     last = len(steps) - 1
-    count, weight = 0, 1
-    stack = [iter(classes)]
+    stabilizers = [(1 << table.order) - 1] + [0] * last
+    weights = [1] * len(steps)
+    orbits = [table.orbits(stabilizers[0])] + [{}] * last
+    count = 0
+    stack = [iter(orbits[0])]
     while stack:
         level = len(stack) - 1
         x = next(stack[level], None)
@@ -587,21 +617,23 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable, k: int) -> int:
             stack.pop()
             continue
         value[positions[level]] = x
-        if level == 0:
-            size, orbits = classes[x]
-            weight = size
-        elif level == 1 and by_orbit:
-            weight = size * orbits[x]
         for prog in checks[level]:
             if _value(prog, value, mul):
                 break
         else:
+            weight = weights[level] * orbits[level][x] if enumerates[level] else weights[level]
             if level == last:
                 count += weight
-            elif level == 0 and by_orbit:
-                stack.append(iter(orbits))
+                continue
+            level += 1
+            weights[level] = weight
+            if level <= narrowing:
+                stabilizers[level] = stabilizers[level - 1] & centralizers[x]
+            if enumerates[level]:
+                orbits[level] = table.orbits(stabilizers[level])
+                stack.append(iter(orbits[level]))
             else:
-                stack.append(options(level + 1))
+                stack.append(iter(step_roots[level][_value(solves[level], value, mul)]))
     return count
 
 
@@ -614,15 +646,29 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
     """Number of homomorphisms ⟨X|R⟩ → table group (trivial one included).
 
     By von Dyck's theorem these are the assignments of X that send every
-    relator to the identity. An exact search binds the generators that
-    occur in relators one at a time, its first two images up to
-    conjugacy (see _plan and _search); each generator in no relator
-    contributes a factor |T|. A commutative target sees only exponent
-    sums, so there each relator is reduced to its nonzero sums first and
-    dropped if none is left. Raises BudgetError before any work if the
-    |T|^|X| assignments exceed max_evals: the budget is unchanged and
-    does not count the smaller search.
+    relator to the identity. Three rules count them exactly:
+
+    * into a commutative target every hom factors through the
+      abelianization Z^r ⊕ Z/d_1 ⊕ …, so the count is
+      |T|^r · ∏_i #{x : x^{d_i} = 1}, read off the Smith diagonal with
+      no search;
+    * otherwise a search binds the generators that occur in relators one
+      at a time (see _plan), each to the roots of x^e = v from rows the
+      table caches;
+    * and each enumerating step runs over the orbits of the stabilizer of
+      the images bound so far, weighted by orbit size (see _search).
+
+    Each generator in no relator contributes a factor |T|. Raises
+    BudgetError before any work if the |T|^|X| assignments exceed
+    max_evals: the budget is unchanged and does not count the smaller work.
     """
+    return _hom_count(p, table, max_evals, None)
+
+
+def _hom_count(
+    p: Presentation, table: FiniteGroupTable, max_evals: int, abelian: AbelianInvariants | None
+) -> int:
+    """hom_count, given p's abelian invariants when the caller has them."""
     _check_max_evals(max_evals)
     k = len(p.alphabet)
     order = table.order
@@ -632,12 +678,15 @@ def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT
             f"hom_count would evaluate {total} assignments "
             f"({table.name}^{k}), exceeding the budget of {max_evals}"
         )
-    positions = {gen.id: i for i, gen in enumerate(p.alphabet)}
-    relators = [tuple((positions[g], e) for g, e in r.syllables) for r in p.relators]
-    if len(table.classes) == order:
-        relators = [rel for rel in map(_exponent_sums, relators) if rel]
-    steps = _plan(relators)
-    return _search(steps, table, k) * order ** (k - len(steps))
+    if table.commutative:
+        if abelian is None:
+            abelian = abelianization(p)
+        count = order**abelian.free_rank
+        for d in abelian.torsion_factors:
+            count *= table.power(d).count(0)
+        return count
+    steps = _plan([r.syllables for r in p.relators])
+    return _search(steps, table) * order ** (k - len(steps))
 
 
 # --- profiles ---------------------------------------------------------------
@@ -656,8 +705,11 @@ def invariant_profile(
 ) -> InvariantProfile:
     """Abelian invariants plus hom counts into the named target groups."""
     _check_max_evals(max_evals)
-    counts = tuple((name, hom_count(p, builtin_table(name), max_evals)) for name in targets)
-    return InvariantProfile(abelianization(p), counts)
+    abelian = abelianization(p)
+    counts = tuple(
+        (name, _hom_count(p, builtin_table(name), max_evals, abelian)) for name in targets
+    )
+    return InvariantProfile(abelian, counts)
 
 
 def profile_pairs(profile: InvariantProfile) -> list[tuple[str, str]]:

@@ -18,6 +18,7 @@ output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -45,11 +46,13 @@ class Presentation:
     relators: Tuple[Word, ...] = ()
 
     def __post_init__(self):
+        ids = {gen.id for gen in self.alphabet}
         rels = []
         for r in self.relators:
             if not isinstance(r, Word):
                 raise InputError("relators must be Word values")
-            _check_ids(r, self.alphabet)
+            if not ids.issuperset(map(itemgetter(0), r.syllables)):
+                _check_ids(r, self.alphabet)  # names the first unknown id
             if not r.is_identity():
                 rels.append(r)
         object.__setattr__(self, "relators", tuple(rels))

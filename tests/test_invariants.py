@@ -15,6 +15,7 @@ from knotgrp.invariants import (
     FiniteGroupTable,
     IntMatrix,
     _diagonalize,
+    _table_power,
     abelianization,
     builtin_table,
     determinant,
@@ -238,6 +239,18 @@ class TestValues:
         for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
             assert twin == fresh and hash(twin) == hash(fresh)
             assert twin.classes == fresh.classes
+
+    def test_table_copies_with_filled_caches_count_alike(self):
+        # the caches hold rows, roots and stabilizer orbits; copies carry
+        # them along and must count exactly as the table that filled them
+        table = FiniteGroupTable("S4", builtin_table("S4").mul)
+        p = wirtinger_presentation(_CONNECTED_SUMS["trefoil#paper-5crossing"])
+        count = hom_count(p, table, max_evals=10**12)
+        assert table._powers and table._roots and len(table._orbits) > 2
+        fresh = FiniteGroupTable(table.name, table.mul)
+        for twin in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert hom_count(p, twin, max_evals=10**12) == count == 96
 
 
 class TestSmithNormalForm:
@@ -611,6 +624,26 @@ class TestFiniteGroupTable:
         with pytest.raises(InputError, match="associative"):
             FiniteGroupTable("bad", mul)
 
+    def test_commutativity_is_decided_in_quadratic_time(self):
+        # conjugacy classes cost order³ on a commutative table (seconds at
+        # order 400); comparing mul with its transpose costs order²
+        n = 400
+        table = FiniteGroupTable("Z400", [[(i + j) % n for j in range(n)] for i in range(n)])
+        start = time.perf_counter()
+        assert hom_count(torus_presentation(2, 3), table) == 400
+        assert time.perf_counter() - start < 0.5
+        assert table.commutative and not builtin_table("S3").commutative
+
+    def test_cached_rows_match_fresh_powers(self):
+        for name in ("Z7", "D4", "S4", "A5"):
+            t = builtin_table(name)
+            for e in (0, 1, -1, 2, -3, 5, t.order, -t.order - 1, 10**9 + 7, -(10**18)):
+                row = tuple(_table_power(t, x, e) for x in range(t.order))
+                assert t.power(e) == row, (name, e)
+                by_value = (tuple(x for x in range(t.order) if row[x] == v) for v in range(t.order))
+                assert t.roots(e) == tuple(by_value), (name, e)
+                assert t.power(e) is t.power(e % t.order)
+
 
 def _power(table, x, k):
     acc = table.identity
@@ -760,6 +793,106 @@ class TestHomCount:
             n1, n2 = _meridian_images(g1, table), _meridian_images(g2, table)
             assert sum(a * b for a, b in zip(n1, n2)) == count
             assert hom_count(amalgam, table) == count
+
+
+class TestHomCountRules:
+    """The closed form for commutative targets and the stabilizer rule,
+    against the scalar oracle and van Kampen's theorem."""
+
+    @pytest.mark.parametrize(
+        "text,target,expected",
+        [
+            ("gens: a b\nrel: a^2 b^4\nrel: a^6 b^8", "Z4", 8),  # Z/2 x Z/4
+            ("gens: a b\nrel: a^2 b^4\nrel: a^6 b^8", "Z6", 4),
+            ("gens: a b\nrel: a^2 b^4\nrel: a^6 b^8", "Z12", 8),
+            ("gens: a b c\nrel: a^5", "Z5", 125),  # b and c in no relator
+            ("gens: a b c\nrel: a^2 b", "Z5", 25),
+            ("gens: a b\nrel: a^1000000007 b^7", "Z7", 7),
+            ("gens: a\nrel: a^1000000007", "Z7", 1),
+        ],
+    )
+    def test_commutative_targets_match_scalar_enumeration(self, text, target, expected):
+        p = parse_presentation(text)
+        table = builtin_table(target)
+        assert hom_count(p, table) == _scalar_homs(p, table) == expected
+        profile = invariant_profile(p, [target])
+        assert profile.hom_counts == ((target, expected),)
+
+    @pytest.mark.parametrize(
+        "target,expected", [("D4", 8), ("A4", 132), ("S4", 432), ("A5", 2220)]
+    )
+    def test_three_enumerating_steps_match_scalar_enumeration(self, target, expected):
+        p, _ = auto_simplify(wirtinger_presentation(_CONNECTED_SUMS["trefoil#trefoil"]))
+        assert [s.exponent for s in _plan([r.syllables for r in p.relators])] == [0, 0, 0]
+        table = builtin_table(target)
+        if target != "A5":  # 60^3 scalar evaluations take too long here
+            assert _scalar_homs(p, table) == expected
+        assert _van_kampen_homs("trefoil", "trefoil", table) == expected
+        assert hom_count(p, table) == expected
+
+    @pytest.mark.parametrize(
+        "target,expected", [("D4", 8), ("A4", 36), ("S4", 96), ("A5", 1080)]
+    )
+    def test_raw_connected_sum_matches_van_kampen(self, target, expected):
+        p = wirtinger_presentation(_CONNECTED_SUMS["trefoil#paper-5crossing"])
+        steps = _plan([r.syllables for r in p.relators])
+        assert sum(not s.exponent for s in steps) == 3 and len(p.alphabet) == 8
+        table = builtin_table(target)
+        assert _van_kampen_homs("trefoil", "paper-5crossing", table) == expected
+        assert hom_count(p, table, max_evals=10**15) == expected
+
+    def test_deep_chain_runs_on_an_explicit_stack(self):
+        # g_i = g_{i+1} for 1,200 generators: one enumerating step, then
+        # 1,199 solved ones, deeper than the interpreter's recursion limit
+        k = 1200
+        p = Presentation(
+            Alphabet([f"g{i}" for i in range(k)]),
+            [Word([(i, 1), (i + 1, -1)]) for i in range(k - 1)],
+        )
+        start = time.perf_counter()
+        assert hom_count(p, builtin_table("S3"), max_evals=6**k) == 6
+        assert time.perf_counter() - start < 0.5
+
+
+# the connected-sum diagrams of two summands: crossings concatenated, the
+# second's arcs shifted past the first's, and the under-arcs leaving the
+# crossings that produce arc 1 and the second summand's first arc swapped
+_CONNECTED_SUMS = {
+    name: KnotDiagram(len(crossings), [Crossing(*c) for c in crossings])
+    for name, crossings in {
+        "trefoil#trefoil": (
+            (1, 2, 3, 1), (2, 3, 4, 1), (3, 1, 2, 1), (4, 5, 6, 1), (5, 6, 1, 1), (6, 4, 5, 1),
+        ),
+        "trefoil#paper-5crossing": (
+            (1, 2, 3, 1), (2, 3, 4, 1), (3, 1, 2, 1), (7, 4, 5, 1),
+            (4, 6, 7, 1), (5, 8, 1, 1), (8, 5, 6, 1), (6, 7, 8, 1),
+        ),
+    }.items()
+}
+
+
+def _scalar_homs(p, table):
+    """Brute-force count: scalar evaluation over every explicit assignment."""
+    ids = [gen.id for gen in p.alphabet]
+    return sum(
+        all(
+            evaluate_word_in_quotient(p, r, dict(zip(ids, images)), table) == table.identity
+            for r in p.relators
+        )
+        for images in itertools.product(range(table.order), repeat=len(ids))
+    )
+
+
+def _van_kampen_homs(first, second, table):
+    """|Hom(K1#K2, T)| = Σ_x N1(x)·N2(x), Ni(x) the homs of Ki's group with a
+    meridian sent to x. Meridians are conjugate and Ni is constant on
+    classes, so Ni does not depend on the meridian, and each summand is
+    brute-forced on its simplified presentation."""
+    n1, n2 = (
+        _meridian_images(auto_simplify(wirtinger_presentation(builtin_diagram(name)))[0], table)
+        for name in (first, second)
+    )
+    return sum(a * b for a, b in zip(n1, n2))
 
 
 def _meridian_images(p, table):
