@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from knotgrp import invariants
 from knotgrp.errors import BudgetError, InputError
 from knotgrp.invariants import (
     AbelianInvariants,
@@ -113,6 +114,37 @@ def reference_diagonalize(m, rows, cols):
         m[t] = [x + y for x, y in zip(m[t], m[t + 1])]
 
 
+def cofactor_determinant(rows):
+    """Laplace expansion along the first row: the reference for Bareiss."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def matrix_presentation(rows, cols):
+    """One generator per column and one relator per row, with those exponent sums."""
+    return Presentation(
+        Alphabet([f"g{j}" for j in range(cols)]),
+        [Word([(j, x) for j, x in enumerate(row) if x]) for row in rows],
+    )
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 10×10 in [-9, 9], up to two rows scaled by 2 or 3."""
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        f = draw(st.sampled_from((2, 3)))
+        rows[i] = [f * x for x in rows[i]]
+    return rows
+
+
 def unimodular(draw, n):
     """An n×n integer matrix of determinant ±1: the identity under random
     row additions and swaps."""
@@ -210,8 +242,17 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             determinant(IntMatrix([[1, 2]], cols=2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # two row swaps: sign +
+    @example([[0, 2, 3], [4, 5, 6], [7, 8, 9]])  # one row swap: sign -
+    def test_determinant_matches_cofactor_expansion(self, rows):
+        assert determinant(IntMatrix(rows)) == cofactor_determinant(rows)
+
     def test_singular_determinant_matches_a_zero_smith_entry(self):
-        # the first two run out of pivots in a column; Bareiss ends on 0 in the third
+        # Bareiss finds no pivot in the first column of the first, in the
+        # middle column of the second and in the last column of the third
         for rows in ([[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 6], [3, 6, 1]], [[2, 4], [1, 2]]):
             a = IntMatrix(rows)
             assert determinant(a) == 0
@@ -307,10 +348,7 @@ class TestSmithNormalForm:
         d, _, _ = check_snf(a)
         # abelianization reaches the same diagonal without the transforms;
         # zero rows drop out as trivial relators and change no factor
-        p = Presentation(
-            Alphabet([f"g{j}" for j in range(a.cols)]),
-            [Word([(j, x) for j, x in enumerate(row) if x]) for row in a.entries],
-        )
+        p = matrix_presentation(a.entries, a.cols)
         assert relation_matrix(p).entries == tuple(row for row in a.entries if any(row))
         diag = d.diagonal()
         assert abelianization(p) == AbelianInvariants(
@@ -396,42 +434,100 @@ class TestAbelianization:
 
 
     def test_census_size_matrix_against_determinant(self):
-        # Bareiss elimination is an independent route to the torsion order
+        # abelianization and determinant share one Bareiss pass, so this
+        # pins their agreement; smith_normal_form, which never takes that
+        # pass, is the independent check (test_census_size_matches_smith_diagonal)
         rng = random.Random(40)
         a = IntMatrix([[rng.randint(-6, 6) for _ in range(40)] for _ in range(40)])
         det = determinant(a)
         assert det
-        p = Presentation(
-            Alphabet([f"g{j}" for j in range(40)]),
-            [Word([(j, x) for j, x in enumerate(row) if x]) for row in a.entries],
-        )
-        inv = abelianization(p)
+        inv = abelianization(matrix_presentation(a.entries, 40))
         assert inv.free_rank == 0
         assert inv.group_order() == abs(det)
 
-    @pytest.mark.parametrize("n, seed, duplicate", [(22, 22, False), (40, 41, False), (40, 42, True)])
-    def test_census_size_matches_smith_diagonal(self, n, seed, duplicate):
-        # the kernel without transforms against the bordered run of
-        # smith_normal_form, and its torsion order against Bareiss
+    @pytest.mark.parametrize(
+        "n, seed, duplicate, factors",
+        [
+            pytest.param(n, seed, duplicate, factors, id=f"{n}-{seed}-{duplicate}")
+            for n, seed, duplicate, factors in [
+                (22, 22, False, 2),
+                (40, 41, False, 2),
+                (40, 42, True, 1),
+                # the gcd G of det and three adjugate columns is > 1 on these
+                (40, 115, False, 2),  # (…, 1, 6, 6·k), G = 6
+                (34, 149, False, 3),  # (…, 2, 2, 2·k), G = 4
+                (34, 117, False, 1),  # cyclic, yet G = 6
+            ]
+        ],
+    )
+    def test_census_size_matches_smith_diagonal(self, n, seed, duplicate, factors):
+        # the kernel without transforms, and its hand-off to Bareiss,
+        # against the bordered run of smith_normal_form, which never hands off
         rng = random.Random(seed)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         if duplicate:
             rows[-1] = rows[0]
         a = IntMatrix(rows)
         diag = check_snf(a)[0].diagonal()
-        p = Presentation(
-            Alphabet([f"g{j}" for j in range(n)]),
-            [Word([(j, x) for j, x in enumerate(row) if x]) for row in rows],
-        )
-        inv = abelianization(p)
+        inv = abelianization(matrix_presentation(rows, n))
         assert inv == AbelianInvariants(
             free_rank=n - sum(1 for x in diag if x),
             torsion_factors=tuple(x for x in diag if x > 1),
         )
+        assert len(inv.torsion_factors) == factors
         det = determinant(a)
         assert (det == 0) == duplicate
         if det:
             assert inv.group_order() == abs(det)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices())
+    @example(  # rows 0 and 1 scaled by 2: G = 2 on a 3×3 block
+        [[2 * x for x in (8, -3, -4, -3)], [2 * x for x in (3, 0, -9, 2)], [4, -4, -5, -1], [-7, 1, 0, 9]]
+    )
+    @example(  # rows 0 and 1 scaled by 3: G = 12 on a 5×5 block
+        [
+            [3 * x for x in (-1, 2, 7, -9, 5, -2)],
+            [3 * x for x in (-8, -4, -6, 2, 6, -2)],
+            [3, 8, -6, 9, -2, -9],
+            [-3, 4, -1, -4, 3, -4],
+            [-7, -5, 5, -5, -5, -9],
+            [-9, -3, -3, -4, -4, 0],
+        ]
+    )
+    @example([[2, 4, 6], [4, 8, 10], [6, 12, 14]])  # singular: no pivot in the middle column
+    @example([[2, 4], [3, 6]])  # singular: no pivot in the last column
+    @example([[-4]])
+    def test_square_matches_smith_diagonal(self, rows):
+        n = len(rows)
+        d, _, _ = smith_normal_form(IntMatrix(rows))
+        m = [row[:] for row in rows]
+        _diagonalize(m, n, n)
+        assert tuple(map(tuple, m)) == d.entries
+        diag = d.diagonal()
+        assert abelianization(matrix_presentation(rows, n)) == AbelianInvariants(
+            free_rank=n - sum(1 for x in diag if x),
+            torsion_factors=tuple(x for x in diag if x > 1),
+        )
+
+    def test_bareiss_only_for_square_blocks_left_without_unit_pivots(self, monkeypatch):
+        calls, bareiss = [], invariants._bareiss
+
+        def spy(m):
+            calls.append(len(m))
+            return bareiss(m)
+
+        monkeypatch.setattr(invariants, "_bareiss", spy)
+        # the raw Wirtinger matrix of T(2,101) pivots on ±1 down to its zero row
+        assert str(abelianization(wirtinger_presentation(_two_braid(101)))) == "Z"
+        rng = random.Random(12)
+        for rows, cols in ((12, 10), (10, 12)):
+            wide_or_tall = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            abelianization(matrix_presentation(wide_or_tall, cols))
+        assert calls == []
+        square = [[rng.randint(-6, 6) for _ in range(10)] for _ in range(10)]
+        abelianization(matrix_presentation(square, 10))
+        assert len(calls) == 1 and calls[0] < 10
 
     def test_formatting(self):
         assert str(AbelianInvariants(0, ())) == "1"
