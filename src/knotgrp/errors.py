@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the default budget."""
+"""Exception types, the default budget and the integer check shared across the package."""
+
+import operator
 
 #: Default budget for homomorphism enumeration, in assignments.
 DEFAULT_MAX_EVALS = 10**8
@@ -14,3 +16,11 @@ class InputError(KnotGrpError):
 
 class BudgetError(KnotGrpError):
     """A computation would exceed its configured resource budget."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; InputError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

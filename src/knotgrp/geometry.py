@@ -20,6 +20,9 @@ sign on sqrt(S) and an extra sign flip in the ordinate; that variant
 fails the segment fixed-point test (points of OQ would not be fixed),
 so this module pins the branch above, which the fixed-point and
 idempotence checks confirm.
+
+verify_retraction checks r in one pass over a polar grid that holds one
+row of samples at a time, so its memory does not depend on the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, _integer
 
 _VALIDATION_TOL = 1e-12
 _AXIS_TOL = 1e-12
@@ -44,6 +47,8 @@ class RetractionParams:
     half_angle: float  # λ, locating P = (cos λ, sin λ) and Q = (−cos λ, sin λ)
 
     def __post_init__(self):
+        if not isinstance(self.half_angle, (int, float)):
+            raise InputError(f"half-angle must be an int or float, got {self.half_angle!r}")
         if not 0.0 < self.half_angle < math.pi / 2:
             raise InputError(
                 f"half-angle must lie strictly between 0 and π/2, got {self.half_angle}"
@@ -146,75 +151,56 @@ def verify_retraction(params: RetractionParams, grid: int) -> RetractionReport:
     on the same side of the y-axis by 50× their spacing. Idempotence
     applies the closed form to each image as it is: rounding can leave an
     image just outside the disk, where retract would reject it as input.
-    Raises BudgetError, before sampling, when grid² exceeds MAX_GRID_SAMPLES.
+    One pass over rows i (angle) and columns j (radius) compares each sample
+    with (i − 1, j) and (i, j − 1) and keeps one row, so memory does not
+    depend on the grid. Raises BudgetError, before sampling, when grid²
+    exceeds MAX_GRID_SAMPLES.
     """
+    grid = _integer(grid, "grid")
     if grid < 2:
         raise InputError("grid must be at least 2")
     if grid * grid > MAX_GRID_SAMPLES:
         raise BudgetError(f"grid {grid} needs grid² samples, past the budget of {MAX_GRID_SAMPLES}")
     lam = params.half_angle
     t = math.tan(lam)
-    points: dict[tuple[int, int], tuple[float, float]] = {}
+    samples = false_fixed = pairs = violations = 0
+    max_image_distance = max_fixed_deviation = max_idempotence = max_ratio = 0.0
+    above: dict[int, tuple] = {}  # row i − 1 as column -> (point, image); none at the puncture
     for i in range(grid):
         theta = lam + i * (math.pi - 2.0 * lam) / (grid - 1)
+        row: dict[int, tuple] = {}
         for j in range(grid):
             r = j / (grid - 1)
             p = (r * math.cos(theta), r * math.sin(theta))
             if math.hypot(p[0], p[1] - 1.0) <= _PUNCTURE_RADIUS:
                 continue
-            points[(i, j)] = p
-
-    images = {key: retract(params, p) for key, p in points.items()}
-
-    max_image_distance = 0.0
-    max_fixed_deviation = 0.0
-    false_fixed = 0
-    max_idempotence = 0.0
-    for key, p in points.items():
-        image = images[key]
-        max_image_distance = max(max_image_distance, distance_to_target(params, image))
-        moved = math.hypot(image[0] - p[0], image[1] - p[1])
-        on_segments = distance_to_target(params, p) <= _VALIDATION_TOL
-        if on_segments:
-            max_fixed_deviation = max(max_fixed_deviation, moved)
-        elif moved <= _CHECK_TOL and distance_to_target(params, p) > _PUNCTURE_RADIUS:
-            false_fixed += 1
-        twice = _closed_form(t, *image)
-        max_idempotence = max(
-            max_idempotence, math.hypot(twice[0] - image[0], twice[1] - image[1])
-        )
-
-    pairs = 0
-    violations = 0
-    max_ratio = 0.0
-    for (i, j), p in points.items():
-        for key2 in ((i + 1, j), (i, j + 1)):
-            q = points.get(key2)
-            if q is None:
-                continue
-            if p[0] * q[0] <= 0.0:  # different sides of (or on) the y-axis
-                continue
-            spacing = math.hypot(p[0] - q[0], p[1] - q[1])
-            if spacing < 1e-15:
-                continue
-            pairs += 1
-            ip, iq = images[(i, j)], images[key2]
-            ratio = math.hypot(ip[0] - iq[0], ip[1] - iq[1]) / spacing
-            max_ratio = max(max_ratio, ratio)
-            if ratio > _CONTINUITY_FACTOR:
-                violations += 1
+            image = retract(params, p)
+            samples += 1
+            max_image_distance = max(max_image_distance, distance_to_target(params, image))
+            moved = math.hypot(image[0] - p[0], image[1] - p[1])
+            to_target = distance_to_target(params, p)
+            if to_target <= _VALIDATION_TOL:
+                max_fixed_deviation = max(max_fixed_deviation, moved)
+            elif moved <= _CHECK_TOL and to_target > _PUNCTURE_RADIUS:
+                false_fixed += 1
+            twice = _closed_form(t, *image)
+            idempotence = math.hypot(twice[0] - image[0], twice[1] - image[1])
+            max_idempotence = max(max_idempotence, idempotence)
+            for q, iq in filter(None, (above.get(j), row.get(j - 1))):
+                spacing = math.hypot(p[0] - q[0], p[1] - q[1])
+                if p[0] * q[0] <= 0.0 or spacing < 1e-15:  # across or on the y-axis, or one point
+                    continue
+                pairs += 1
+                ratio = math.hypot(image[0] - iq[0], image[1] - iq[1]) / spacing
+                max_ratio = max(max_ratio, ratio)
+                if ratio > _CONTINUITY_FACTOR:
+                    violations += 1
+            row[j] = (p, image)
+        above = row
 
     return RetractionReport(
-        half_angle=lam,
-        grid=grid,
-        samples=len(points),
-        max_image_distance=max_image_distance,
-        max_fixed_deviation=max_fixed_deviation,
-        false_fixed_points=false_fixed,
-        max_idempotence_deviation=max_idempotence,
-        continuity_pairs=pairs,
-        continuity_violations=violations,
-        max_continuity_ratio=max_ratio,
+        lam, grid, samples, max_image_distance, max_fixed_deviation, false_fixed,
+        max_idempotence, pairs, violations, max_ratio,
     )
 
 

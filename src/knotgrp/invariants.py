@@ -50,9 +50,8 @@ import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence, Tuple
 
-from .errors import DEFAULT_MAX_EVALS, BudgetError, InputError
+from .errors import DEFAULT_MAX_EVALS, BudgetError, InputError, _integer
 from .presentation import Presentation
-from .torus import _integer
 from .words import Word
 
 
@@ -735,11 +734,6 @@ def _search(steps: Sequence[_Step], table: FiniteGroupTable) -> int:
     return count
 
 
-def _check_max_evals(max_evals: int) -> None:
-    if not isinstance(max_evals, int):
-        raise InputError(f"max_evals must be an int, got {max_evals!r}")
-
-
 def hom_count(p: Presentation, table: FiniteGroupTable, max_evals: int = DEFAULT_MAX_EVALS) -> int:
     """Number of homomorphisms ⟨X|R⟩ → table group (trivial one included).
 
@@ -767,7 +761,7 @@ def _hom_count(
     p: Presentation, table: FiniteGroupTable, max_evals: int, abelian: AbelianInvariants | None
 ) -> int:
     """hom_count, given p's abelian invariants when the caller has them."""
-    _check_max_evals(max_evals)
+    max_evals = _integer(max_evals, "max_evals")
     k = len(p.alphabet)
     order = table.order
     total = order**k
@@ -802,7 +796,7 @@ def invariant_profile(
     p: Presentation, targets: Sequence[str], max_evals: int = DEFAULT_MAX_EVALS
 ) -> InvariantProfile:
     """Abelian invariants plus hom counts into the named target groups."""
-    _check_max_evals(max_evals)
+    max_evals = _integer(max_evals, "max_evals")
     abelian = abelianization(p)
     counts = tuple(
         (name, _hom_count(p, builtin_table(name), max_evals, abelian)) for name in targets

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple, Tuple
 
-from .errors import InputError
+from .errors import BudgetError, InputError, _integer
 from .words import Alphabet, Syllable, Word
 
 #: Alphabet shared by all two-generator torus/free-product computations.
@@ -29,6 +29,9 @@ AB = Alphabet(["a", "b"])
 
 #: Distinguished return value for elements of infinite order.
 INFINITE = float("inf")
+
+#: Most reduced words max_torsion_order may enumerate.
+MAX_TORSION_WORDS = 10**6
 
 _LETTERS = {0: "a", 1: "b"}
 
@@ -58,14 +61,6 @@ def _positive_orders(m, n) -> tuple[int, int]:
     if m < 1 or n < 1:
         raise InputError(f"m and n must be positive, got ({m}, {n})")
     return m, n
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; InputError unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _render(syllables: Tuple[Syllable, ...]) -> str:
@@ -244,11 +239,23 @@ def enumerate_reduced_words(m: int, n: int, max_syllables: int) -> Iterator[Tupl
             yield from extend(start, first)
 
 
+def _reduced_word_count(m: int, n: int, max_syllables: int) -> int:
+    """How many words enumerate_reduced_words(m, n, max_syllables) yields, for m, n >= 2."""
+    p = (m - 1) * (n - 1)  # (m + n − 2)·p^h words of 2h + 1 syllables, 2·p^h of 2h
+    if p == 1:
+        return 2 * max_syllables
+    k = min(max_syllables, 130)  # p >= 2: 130 syllables already give over 2^64 words
+    odd = (p ** ((k + 1) // 2) - 1) // (p - 1)  # 1 + p + ... over odd lengths
+    even = (p ** (k // 2 + 1) - p) // (p - 1)  # p + p^2 + ... over even lengths
+    return (m + n - 2) * odd + 2 * even
+
+
 def max_torsion_order(m: int, n: int, search_length: int) -> int:
     """Largest finite element order among reduced words of bounded length.
 
     Equals max(m, n) for every search_length >= 1: all torsion in
-    Z_m * Z_n is conjugate into one of the factors.
+    Z_m * Z_n is conjugate into one of the factors. Raises BudgetError,
+    before enumerating, when there are more than MAX_TORSION_WORDS words.
     """
     m, n = _positive_orders(m, n)
     if m < 2 or n < 2:
@@ -256,6 +263,8 @@ def max_torsion_order(m: int, n: int, search_length: int) -> int:
     search_length = _integer(search_length, "search_length")
     if search_length < 1:
         raise InputError("search_length must be >= 1")
+    if _reduced_word_count(m, n, search_length) > MAX_TORSION_WORDS:
+        raise BudgetError(f"more than {MAX_TORSION_WORDS} reduced words to search, past the budget")
     best = 1
     for syl in enumerate_reduced_words(m, n, search_length):
         order = order_in_free_product(m, n, Word(syl))

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from knotgrp.errors import InputError
+from knotgrp import torus
+from knotgrp.errors import BudgetError, InputError
 from knotgrp.invariants import builtin_table, evaluate_word_in_quotient
 from knotgrp.presentation import free_product_presentation, torus_presentation
 from knotgrp.torus import (
@@ -381,6 +382,22 @@ class TestMaxTorsion:
         for length in (0, -1):
             with pytest.raises(InputError, match="search_length must be >= 1"):
                 max_torsion_order(2, 3, length)
+
+    def test_word_count_matches_enumeration(self):
+        for m in range(2, 7):
+            for n in range(2, 7):
+                for length in range(1, 7):
+                    expected = sum(1 for _ in enumerate_reduced_words(m, n, length))
+                    assert torus._reduced_word_count(m, n, length) == expected
+
+    def test_refuses_past_the_word_budget_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(torus, "enumerate_reduced_words", enumerate_nothing)
+        for m, n, length in ((97, 101, 4), (97, 101, 10**12), (2, 2, 10**9)):
+            with pytest.raises(BudgetError, match="budget"):
+                max_torsion_order(m, n, length)
 
 
 class TestEnumeration:
